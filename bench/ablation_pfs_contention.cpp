@@ -1,9 +1,9 @@
 // Ablation: machine-wide PFS bandwidth contention in the workload study.
 // The paper's Eq. 3 models per-application PFS contention (N_a / N_S) but
 // treats concurrent applications' checkpoints as independent; this
-// extension routes all PFS traffic through a shared processor-sharing
-// channel with a configurable gateway count and measures the impact on
-// dropped applications.
+// extension routes all PFS traffic through one shared PFS device
+// (sim/pfs_device.hpp) with a configurable gateway count and measures the
+// impact on dropped applications.
 
 #include <cstdio>
 #include <vector>
@@ -12,6 +12,7 @@
 #include "study/context.hpp"
 #include "study/platform_params.hpp"
 #include "study/registry.hpp"
+#include "util/check.hpp"
 
 namespace {
 using namespace xres;
@@ -24,6 +25,19 @@ int run(study::StudyContext& ctx) {
   const TrialExecutor executor{1};  // pattern runs are serial in this sweep
   obs::MetricSet merged;
 
+  WorkloadStudyConfig study_config;
+  study_config.patterns = patterns;
+  study_config.seed = seed;
+  study::apply_platform_params(study_config.machine, ctx.params());
+  // The contended variants model a shared PFS on the flat machine; a
+  // non-flat platform routes PFS traffic through its own queued device
+  // (see ablation_pfs_contention_topology).
+  if (study_config.machine.platform.model != PlatformModelKind::kFlat) {
+    study::usage_error_from(CheckError{
+        "platform.model must be flat for ablation_pfs_contention; use "
+        "ablation_pfs_contention_topology for non-flat platforms"});
+  }
+
   std::printf("Ablation: PFS contention in the oversubscribed workload study\n");
   std::printf("scheduler Slack, %u patterns per cell\n\n", patterns);
 
@@ -32,22 +46,17 @@ int run(study::StudyContext& ctx) {
 
   struct Variant {
     const char* name;
-    bool contention;
-    std::uint32_t gateways;
+    std::uint32_t gateways;  // 0: the paper's independent transfers
   };
-  for (const Variant variant : {Variant{"independent (paper)", false, 0},
-                                Variant{"shared, 8 gateways", true, 8},
-                                Variant{"shared, 4 gateways", true, 4},
-                                Variant{"shared, 1 gateway", true, 1}}) {
+  for (const Variant variant : {Variant{"independent (paper)", 0},
+                                Variant{"shared, 8 gateways", 8},
+                                Variant{"shared, 4 gateways", 4},
+                                Variant{"shared, 1 gateway", 1}}) {
     std::vector<std::string> row{variant.name};
     for (TechniqueKind kind : workload_techniques()) {
-      WorkloadStudyConfig study_config;
-      study_config.patterns = patterns;
-      study_config.seed = seed;
-      study::apply_platform_params(study_config.machine, ctx.params());
-
-      // Run the combos manually so the engine flag can be set; the crash-safe
-      // pattern loop journals each run under a per-cell batch label.
+      // Run the combos manually so the gateway count can be set; the
+      // crash-safe pattern loop journals each run under a per-cell batch
+      // label.
       RunningStats dropped;
       study::run_patterns_controlled(
           coordinator, executor,
@@ -61,8 +70,7 @@ int run(study::StudyContext& ctx) {
             engine.policy = TechniquePolicy::fixed_technique(kind);
             engine.scheduler = SchedulerKind::kSlack;
             engine.seed = derive_seed(study_config.seed, 0x656e67696eULL, p);
-            engine.model_pfs_contention = variant.contention;
-            if (variant.contention) engine.pfs_gateways = variant.gateways;
+            engine.pfs_gateways = variant.gateways;
             obs::TrialObs run_obs;
             if (obs_options.metrics()) {
               run_obs.enable_metrics();
@@ -103,7 +111,8 @@ study::StudyDefinition make() {
   def.name = "ablation_pfs_contention";
   def.group = study::StudyGroup::kAblation;
   def.description =
-      "dropped applications with and without machine-wide PFS bandwidth contention";
+      "dropped applications with and without machine-wide PFS bandwidth contention "
+      "(flat platform)";
   def.summary = "ablation_pfs_contention — dropped %% with/without machine-wide "
                 "PFS contention";
   def.options.default_seed = 20170530;

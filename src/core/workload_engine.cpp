@@ -1,6 +1,7 @@
 #include "core/workload_engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -16,7 +17,6 @@
 #include "resilience/selector.hpp"
 #include "runtime/app_runtime.hpp"
 #include "runtime/transfer_service.hpp"
-#include "sim/shared_channel.hpp"
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -51,25 +51,23 @@ class WorkloadEngine final : public SchedulerContext {
           bursts);
     }
     if (config_.machine.platform.model != PlatformModelKind::kFlat) {
-      XRES_CHECK(!config_.model_pfs_contention,
-                 "model_pfs_contention is the flat-model contention ablation; "
+      XRES_CHECK(config_.pfs_gateways == 0,
+                 "pfs_gateways is the flat-model contention ablation; "
                  "a non-flat platform model routes transfers through its own "
                  "queued PFS device");
       platform_model_ = make_platform_model(config_.machine);
-      pfs_device_.emplace(sim_, platform_model_->pfs_service_channels(),
-                          platform_model_->pfs_channel_bandwidth());
       const Bandwidth aggregate =
           platform_model_->pfs_channel_bandwidth() *
           static_cast<double>(platform_model_->pfs_service_channels());
-      device_service_.emplace(*pfs_device_, aggregate);
-    } else if (config_.model_pfs_contention) {
-      XRES_CHECK(config_.pfs_gateways > 0, "PFS gateway count must be positive");
+      pfs_device_.emplace(sim_, platform_model_->pfs_service_channels(), aggregate);
+      pfs_service_.emplace(*pfs_device_, aggregate);
+    } else if (config_.pfs_gateways > 0) {
       const Bandwidth per_stream =
           config_.machine.network.bandwidth *
           static_cast<double>(config_.machine.network.switch_connections);
-      pfs_channel_.emplace(sim_, per_stream * static_cast<double>(config_.pfs_gateways),
-                           per_stream);
-      pfs_service_.emplace(*pfs_channel_, per_stream);
+      pfs_device_.emplace(sim_, std::numeric_limits<std::uint32_t>::max(),
+                          per_stream * static_cast<double>(config_.pfs_gateways));
+      pfs_service_.emplace(*pfs_device_, per_stream);
     }
     if (config_.scheduler == SchedulerKind::kTopoPack) {
       // Pack allocations under common leaf switches; inert for timing
@@ -168,11 +166,7 @@ class WorkloadEngine final : public SchedulerContext {
         sim_, std::move(plan),
         derive_seed(config_.seed, static_cast<std::uint64_t>(job.id), 0x61707021ULL),
         [this, id = job.id](const ExecutionResult& r) { on_runtime_finished(id, r); });
-    if (device_service_.has_value()) {
-      runtime->set_pfs_transfer_service(&*device_service_);
-    } else if (pfs_service_.has_value()) {
-      runtime->set_pfs_transfer_service(&*pfs_service_);
-    }
+    if (pfs_service_.has_value()) runtime->set_pfs_transfer_service(&*pfs_service_);
     runtime->set_observer(config_.obs);
     ResilientAppRuntime* raw = runtime.get();
     running_.emplace(job.id, std::move(runtime));
@@ -319,11 +313,9 @@ class WorkloadEngine final : public SchedulerContext {
 
   std::optional<ResilienceSelector> selector_;
   std::optional<SystemFailureProcess> failures_;
-  std::optional<SharedChannel> pfs_channel_;
-  std::optional<SharedChannelTransferService> pfs_service_;
   std::unique_ptr<PlatformModel> platform_model_;
   std::optional<PfsDevice> pfs_device_;
-  std::optional<PfsDeviceTransferService> device_service_;
+  std::optional<PfsDeviceTransferService> pfs_service_;
 
   std::vector<JobId> unmapped_;  // arrival order
   std::unordered_map<JobId, std::unique_ptr<ResilientAppRuntime>> running_;

@@ -45,14 +45,14 @@ struct WorkloadEngineConfig {
   double burst_probability{0.0};
   std::uint32_t burst_width{64};
 
-  /// Extension: model machine-wide PFS bandwidth contention. When enabled,
+  /// Extension: machine-wide PFS bandwidth contention under the flat
+  /// model. 0 reproduces the paper's independent transfers; otherwise
   /// PFS-backed checkpoints/restarts from concurrent applications share a
-  /// processor-sharing channel of capacity pfs_gateways × B_N × N_S (each
-  /// application individually capped at its Eq.-3 rate B_N × N_S).
-  /// Mutually exclusive with a non-flat machine.platform.model, which
-  /// routes the same transfers through the queued PfsDevice instead.
-  bool model_pfs_contention{false};
-  std::uint32_t pfs_gateways{4};
+  /// PfsDevice with unbounded admission and aggregate bandwidth
+  /// pfs_gateways × B_N × N_S, each application capped at its Eq.-3 rate
+  /// B_N × N_S. Must be 0 on a non-flat machine.platform.model, which
+  /// routes the same transfers through its own queued device.
+  std::uint32_t pfs_gateways{0};
 
   /// Optional observation context (metrics channel; obs/trial_obs.hpp) for
   /// this pattern run: job counters plus the per-runtime event metrics.
@@ -86,7 +86,7 @@ struct WorkloadRunResult {
   /// Job tenancies (populated when record_occupancy is set).
   OccupancyLog occupancy;
 
-  /// Queued-PFS-device accounting (non-flat platform models only):
+  /// PFS-device accounting (non-flat platform models and pfs_gateways > 0):
   /// completed device transfers, their summed wall time (submit →
   /// completion, including queueing and link caps) and their summed
   /// closed-form Eq.-3 nominal time. measured / nominal is the run's

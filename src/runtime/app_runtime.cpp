@@ -104,7 +104,7 @@ void ResilientAppRuntime::start() {
   enter_working();
 }
 
-void ResilientAppRuntime::set_pfs_transfer_service(TransferService* service) {
+void ResilientAppRuntime::set_pfs_transfer_service(PfsDeviceTransferService* service) {
   XRES_CHECK(phase_ == Phase::kIdle, "transfer service must be set before start");
   pfs_service_ = service;
 }

@@ -113,11 +113,11 @@ class ResilientAppRuntime {
   /// called before start(); costs one vector append per phase transition.
   void enable_timeline();
 
-  /// Route PFS-backed checkpoint/restart phases through \p service (e.g. a
-  /// contended SharedChannelTransferService shared across applications).
+  /// Route PFS-backed checkpoint/restart phases through \p service (a PFS
+  /// device shared across applications; runtime/transfer_service.hpp).
   /// Must be called before start(); the service must outlive the runtime.
   /// Without it, nominal Eq.-3 durations are taken literally.
-  void set_pfs_transfer_service(TransferService* service);
+  void set_pfs_transfer_service(PfsDeviceTransferService* service);
 
   /// The recorded timeline, or nullptr when recording was not enabled.
   [[nodiscard]] const Timeline* timeline() const {
@@ -252,7 +252,7 @@ class ResilientAppRuntime {
   double active_recovery_nodes_{0.0};
 
   std::optional<Timeline> timeline_;
-  TransferService* pfs_service_{nullptr};
+  PfsDeviceTransferService* pfs_service_{nullptr};
   obs::TrialObs* obs_{nullptr};
   DirectHost* direct_{nullptr};
 
@@ -266,7 +266,7 @@ class ResilientAppRuntime {
   bool phase_pfs_{false};
 
   EventId pending_{};
-  TransferService::TransferHandle pending_transfer_{};
+  PfsDeviceTransferService::TransferHandle pending_transfer_{};
   bool pending_is_transfer_{false};
   bool has_pending_{false};
   /// Completion handler of the in-flight phase (see schedule_phase).

@@ -1,67 +1,30 @@
 #include "runtime/transfer_service.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace xres {
 
-TransferService::TransferHandle FixedTransferService::begin(
-    Duration nominal, CompletionCallback on_complete) {
-  XRES_CHECK(nominal >= Duration::zero(), "transfer duration must be non-negative");
-  const EventId id = sim_.schedule_after(nominal, std::move(on_complete));
-  return static_cast<TransferHandle>(id);
-}
-
-void FixedTransferService::cancel(TransferHandle handle) {
-  sim_.cancel(static_cast<EventId>(handle));
-}
-
-SharedChannelTransferService::SharedChannelTransferService(SharedChannel& channel,
-                                                           Bandwidth per_stream_cap)
-    : channel_{channel}, per_stream_cap_bps_{per_stream_cap.to_bytes_per_second()} {
-  XRES_CHECK(per_stream_cap_bps_ > 0.0, "per-stream cap must be positive");
-}
-
-TransferService::TransferHandle SharedChannelTransferService::begin(
-    Duration nominal, CompletionCallback on_complete) {
-  XRES_CHECK(nominal >= Duration::zero(), "transfer duration must be non-negative");
-  const DataSize size = DataSize::bytes(nominal.to_seconds() * per_stream_cap_bps_);
-  return channel_.begin_transfer(size, std::move(on_complete));
-}
-
-void SharedChannelTransferService::cancel(TransferHandle handle) {
-  channel_.cancel(handle);
-}
-
 PfsDeviceTransferService::PfsDeviceTransferService(PfsDevice& device,
-                                                   Bandwidth aggregate)
-    : device_{device}, aggregate_bps_{aggregate.to_bytes_per_second()} {
-  XRES_CHECK(aggregate_bps_ > 0.0, "aggregate device bandwidth must be positive");
+                                                   Bandwidth fallback_rate)
+    : device_{device}, fallback_bps_{fallback_rate.to_bytes_per_second()} {
+  XRES_CHECK(fallback_bps_ > 0.0, "fallback transfer rate must be positive");
 }
 
-TransferService::TransferHandle PfsDeviceTransferService::begin(
-    Duration nominal, CompletionCallback on_complete) {
-  TransferRequest request;
-  request.nominal = nominal;
-  return begin(request, std::move(on_complete));
-}
-
-TransferService::TransferHandle PfsDeviceTransferService::begin(
+PfsDeviceTransferService::TransferHandle PfsDeviceTransferService::begin(
     const TransferRequest& request, CompletionCallback on_complete) {
   XRES_CHECK(request.nominal >= Duration::zero(),
              "transfer duration must be non-negative");
   DataSize bytes = request.bytes;
   Bandwidth cap = request.rate_cap;
   if (!request.has_topology_info()) {
-    // Legacy plan: reconstruct bytes so a lone transfer at the aggregate
-    // rate takes exactly its nominal time.
-    bytes = DataSize::bytes(request.nominal.to_seconds() * aggregate_bps_);
-    cap = Bandwidth::bytes_per_second(aggregate_bps_);
+    // Flat-model plan: reconstruct bytes so a lone transfer at the
+    // fallback rate takes exactly its nominal time.
+    bytes = DataSize::bytes(request.nominal.to_seconds() * fallback_bps_);
+    cap = Bandwidth::bytes_per_second(fallback_bps_);
   }
   return device_.begin_transfer(bytes, cap, request.nominal, std::move(on_complete));
-}
-
-void PfsDeviceTransferService::cancel(TransferHandle handle) {
-  device_.cancel(handle);
 }
 
 }  // namespace xres

@@ -1,21 +1,19 @@
 #pragma once
 
 /// \file transfer_service.hpp
-/// How the runtime executes checkpoint/restart data movement.
+/// How the runtime moves checkpoint/restart data through a shared PFS.
 ///
 /// The base plan gives every checkpoint level a fixed nominal duration
-/// (Eqs. 3, 5, 6). By default those durations are taken literally
-/// (FixedTransferService). When the workload engine models PFS contention,
-/// PFS-backed phases are routed through a SharedChannelTransferService
-/// instead: the nominal duration is converted back into bytes at the
-/// per-stream cap and pushed through a processor-sharing SharedChannel,
-/// so concurrent checkpoints from different applications slow each other
-/// down.
+/// (Eqs. 3, 5, 6), and by default the runtime takes those durations
+/// literally. When the workload engine models a shared PFS — the fat-tree
+/// platform's queued device, or the flat model's contended PFS
+/// (`WorkloadEngineConfig::pfs_gateways`) — PFS-backed phases are routed
+/// through a PfsDeviceTransferService instead, so concurrent checkpoints
+/// from different applications slow each other down.
 
 #include <cstdint>
 
 #include "sim/pfs_device.hpp"
-#include "sim/shared_channel.hpp"
 #include "sim/simulation.hpp"
 #include "util/units.hpp"
 
@@ -36,78 +34,31 @@ struct TransferRequest {
   }
 };
 
-class TransferService {
+/// Routes transfers through a PfsDevice (sim/pfs_device.hpp). Requests
+/// with topology info are served as-is; requests without it (flat-model
+/// plans) are converted to bytes at the service's fallback rate and capped
+/// at that rate, so a lone transfer takes exactly its nominal time.
+class PfsDeviceTransferService {
  public:
-  using TransferHandle = std::uint64_t;
+  using TransferHandle = PfsDevice::TransferId;
   using CompletionCallback = EventCallback;
 
-  virtual ~TransferService() = default;
+  /// \p device must outlive the service. \p fallback_rate is the byte
+  /// conversion rate and rate cap for requests without topology info: the
+  /// device's aggregate bandwidth under the fat-tree model, the per-
+  /// application Eq.-3 rate B_N × N_S for the flat contended PFS.
+  PfsDeviceTransferService(PfsDevice& device, Bandwidth fallback_rate);
 
-  /// Start a transfer whose uncontended duration is \p nominal; the
-  /// callback fires when it completes (possibly later under load).
-  virtual TransferHandle begin(Duration nominal, CompletionCallback on_complete) = 0;
-
-  /// Start a transfer described by \p request. The default implementation
-  /// ignores topology info and delegates to the nominal-duration overload;
-  /// topology-aware services (PfsDeviceTransferService) serve the actual
-  /// bytes at the request's rate cap instead.
-  virtual TransferHandle begin(const TransferRequest& request,
-                               CompletionCallback on_complete) {
-    return begin(request.nominal, std::move(on_complete));
-  }
+  /// Start a transfer; \p on_complete fires when it completes (later than
+  /// the nominal duration under load).
+  TransferHandle begin(const TransferRequest& request, CompletionCallback on_complete);
 
   /// Abort an in-flight transfer (no-op if already complete).
-  virtual void cancel(TransferHandle handle) = 0;
-};
-
-/// Takes nominal durations literally (no cross-application contention).
-class FixedTransferService final : public TransferService {
- public:
-  explicit FixedTransferService(Simulation& sim) : sim_{sim} {}
-
-  TransferHandle begin(Duration nominal, CompletionCallback on_complete) override;
-  void cancel(TransferHandle handle) override;
-
- private:
-  Simulation& sim_;
-};
-
-/// Routes transfers through a processor-sharing SharedChannel.
-class SharedChannelTransferService final : public TransferService {
- public:
-  /// \p channel must outlive the service. Nominal durations are converted
-  /// to bytes at the channel's uncontended (per-stream-cap) rate so a lone
-  /// transfer takes exactly its nominal time.
-  SharedChannelTransferService(SharedChannel& channel, Bandwidth per_stream_cap);
-
-  TransferHandle begin(Duration nominal, CompletionCallback on_complete) override;
-  void cancel(TransferHandle handle) override;
-
- private:
-  SharedChannel& channel_;
-  double per_stream_cap_bps_;
-};
-
-/// Routes transfers through a queued PfsDevice (sim/pfs_device.hpp): FIFO
-/// admission to N_S service channels, fair-shared aggregate bandwidth,
-/// per-transfer rate caps from the interconnect model. Requests without
-/// topology info (bytes/rate_cap unset) fall back to converting the
-/// nominal duration to bytes at the device's aggregate rate.
-class PfsDeviceTransferService final : public TransferService {
- public:
-  /// \p device must outlive the service. \p aggregate is the device's
-  /// total service bandwidth (channels × channel bandwidth), used both as
-  /// the fallback byte conversion rate and the fallback rate cap.
-  PfsDeviceTransferService(PfsDevice& device, Bandwidth aggregate);
-
-  TransferHandle begin(Duration nominal, CompletionCallback on_complete) override;
-  TransferHandle begin(const TransferRequest& request,
-                       CompletionCallback on_complete) override;
-  void cancel(TransferHandle handle) override;
+  void cancel(TransferHandle handle) { device_.cancel(handle); }
 
  private:
   PfsDevice& device_;
-  double aggregate_bps_;
+  double fallback_bps_;
 };
 
 }  // namespace xres

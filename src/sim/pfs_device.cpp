@@ -12,15 +12,13 @@ namespace {
 constexpr double kRemainingEpsilonBytes = 1e-6;
 }  // namespace
 
-PfsDevice::PfsDevice(Simulation& sim, std::uint32_t service_channels,
-                     Bandwidth channel_bandwidth)
+PfsDevice::PfsDevice(Simulation& sim, std::uint32_t admission_slots, Bandwidth aggregate)
     : sim_{sim},
-      service_channels_{service_channels},
-      aggregate_bps_{channel_bandwidth.to_bytes_per_second() *
-                     static_cast<double>(service_channels)},
+      admission_slots_{admission_slots},
+      aggregate_bps_{aggregate.to_bytes_per_second()},
       last_update_s_{sim.now().to_seconds()} {
-  XRES_CHECK(service_channels_ > 0, "PFS device needs at least one service channel");
-  XRES_CHECK(aggregate_bps_ > 0.0, "PFS channel bandwidth must be positive");
+  XRES_CHECK(admission_slots_ > 0, "PFS device needs at least one admission slot");
+  XRES_CHECK(aggregate_bps_ > 0.0, "PFS aggregate bandwidth must be positive");
 }
 
 PfsDevice::~PfsDevice() {
@@ -62,7 +60,7 @@ void PfsDevice::reschedule() {
 }
 
 void PfsDevice::admit_from_queue() {
-  while (active_.size() < service_channels_ && !waiting_.empty()) {
+  while (active_.size() < admission_slots_ && !waiting_.empty()) {
     const TransferId id = waiting_.front();
     waiting_.pop_front();
     auto it = queued_.find(id);
@@ -76,9 +74,10 @@ void PfsDevice::on_completion_event() {
   advance_to_now();
   // Complete exactly one finished transfer per event; simultaneous
   // finishers re-fire at zero delay. "Finished" tolerates floating-point
-  // residue exactly like SharedChannel: at large absolute clock values an
-  // ETA below the clock's representable resolution cannot advance time, so
-  // anything within a few ulps of completion at its current rate is done.
+  // residue: at large absolute clock values an ETA below the clock's
+  // representable resolution cannot advance time (the event would re-fire
+  // at the same timestamp forever), so anything within a few ulps of
+  // completion at its current rate is done.
   const double clock_resolution =
       std::max(1e-9, sim_.now().to_seconds() * 8.0 * std::numeric_limits<double>::epsilon());
   auto best = active_.end();
@@ -122,7 +121,7 @@ PfsDevice::TransferId PfsDevice::begin_transfer(DataSize size, Bandwidth rate_ca
   t.submit_s = sim_.now().to_seconds();
   t.nominal_s = nominal.to_seconds();
   t.on_complete = std::move(on_complete);
-  if (active_.size() < service_channels_) {
+  if (active_.size() < admission_slots_) {
     active_.emplace(id, std::move(t));
   } else {
     queued_.emplace(id, std::move(t));

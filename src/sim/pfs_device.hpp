@@ -4,18 +4,23 @@
 /// A queued parallel-file-system device for discrete-event simulations
 /// (docs/PLATFORM.md).
 ///
-/// The device has `service_channels` slots (the paper's N_S), each worth
-/// `channel_bandwidth` (B_N). Transfers are admitted FIFO: at most
-/// `service_channels` are in service at once; the rest wait in an arrival-
-/// order queue. In-service transfers fair-share the aggregate device
-/// bandwidth (channels × B_N), each additionally limited by its own
-/// `rate_cap` — the injection bandwidth the interconnect grants the
-/// application (fattree.hpp), so a small application cannot absorb more of
-/// the device than its links can carry.
+/// The device admits at most `admission_slots` transfers at once (the
+/// paper's N_S under the fat-tree model); the rest wait in an arrival-order
+/// FIFO queue. In-service transfers fair-share the `aggregate` device
+/// bandwidth, each additionally limited by its own `rate_cap` — the
+/// injection bandwidth the interconnect grants the application
+/// (fattree.hpp), so a small application cannot absorb more of the device
+/// than its links can carry.
 ///
-/// Like SharedChannel, progress is exact (no time-stepping): whenever the
-/// active set changes, remaining sizes advance at the old rates and the
-/// single pending completion event moves to the new earliest finisher.
+/// With unbounded admission and a common rate cap this is the classic
+/// egalitarian processor-sharing queue: the flat model's contended PFS
+/// (`WorkloadEngineConfig::pfs_gateways`) is such a device with aggregate
+/// gateways × B_N × N_S and every transfer capped at its Eq.-3 rate
+/// B_N × N_S.
+///
+/// Progress is exact (no time-stepping): whenever the active set changes,
+/// remaining sizes advance at the old rates and the single pending
+/// completion event moves to the new earliest finisher.
 ///
 /// The device tracks measured vs. nominal service time so studies can
 /// report how far queueing + link caps diverge from the closed-form Eq. 3
@@ -35,8 +40,7 @@ class PfsDevice {
   using TransferId = std::uint64_t;
   using CompletionCallback = EventCallback;
 
-  PfsDevice(Simulation& sim, std::uint32_t service_channels,
-            Bandwidth channel_bandwidth);
+  PfsDevice(Simulation& sim, std::uint32_t admission_slots, Bandwidth aggregate);
 
   PfsDevice(const PfsDevice&) = delete;
   PfsDevice& operator=(const PfsDevice&) = delete;
@@ -80,7 +84,7 @@ class PfsDevice {
   void admit_from_queue();
 
   Simulation& sim_;
-  std::uint32_t service_channels_;
+  std::uint32_t admission_slots_;
   double aggregate_bps_;
   std::map<TransferId, Transfer> active_;
   std::deque<TransferId> waiting_;       ///< FIFO admission order

@@ -5,9 +5,9 @@
 /// experiment is registered here as data — a `StudyDefinition` with a name,
 /// a group, a one-line description, a typed parameter schema and a run
 /// function — instead of owning its own `main()`. One generic harness
-/// (study_main.hpp) then serves every scenario: the per-figure bench
-/// binaries, `xres run <study>`, `xres list`, `xres describe` and
-/// `xres suite paper` all enumerate or execute the same definitions.
+/// (study_main.hpp) then serves every scenario: `xres run <study>`,
+/// `xres list`, `xres describe` and `xres suite paper` all enumerate or
+/// execute the same definitions.
 ///
 /// Definitions are *data*, so they need not be compiled in: the spec loader
 /// (spec.hpp) constructs a StudyDefinition at runtime from a TOML/JSON spec
@@ -19,8 +19,7 @@
 /// Registration is link-time: each study translation unit plants a
 /// `Registration` object whose constructor inserts the definition into the
 /// global registry. The study TUs are compiled into the `xres_studies`
-/// object library so every consumer (bench aliases, CLI, tests) links the
-/// full catalog.
+/// object library so every consumer (CLI, tests) links the full catalog.
 
 #include <cstdint>
 #include <functional>
@@ -151,7 +150,7 @@ struct StudyOptionsSpec {
 /// One scenario — registered at link time or materialized at runtime from a
 /// spec file (spec.hpp); the harness treats both identically.
 struct StudyDefinition {
-  std::string name;  ///< unique, the bench binary name ("fig1_efficiency_a32")
+  std::string name;  ///< unique, the `xres run` name ("fig1_efficiency_a32")
   StudyGroup group{StudyGroup::kAblation};
   std::string description;  ///< one line for the catalog
   /// --help header; empty → "<name> — <description>".

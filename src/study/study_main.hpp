@@ -1,16 +1,9 @@
 #pragma once
 
 /// \file study_main.hpp
-/// The one generic driver main every study binary shares. A per-figure
-/// bench executable is now a two-line alias:
-///
-///   #include "study/study_main.hpp"
-///   int main(int argc, char** argv) {
-///     return xres::study::study_main("fig1_efficiency_a32", argc, argv);
-///   }
-///
-/// `xres run <study>` forwards here too, and `xres run --from spec.toml`
-/// uses the definition overload with a runtime-materialized study.
+/// The one generic study driver: `xres run <study>` forwards here, and
+/// `xres run --from spec.toml` uses the definition overload with a
+/// runtime-materialized study.
 
 #include <string>
 

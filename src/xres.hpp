@@ -18,7 +18,6 @@
 
 // Discrete-event engine
 #include "sim/event_queue.hpp"
-#include "sim/shared_channel.hpp"
 #include "sim/simulation.hpp"
 
 // Platform model

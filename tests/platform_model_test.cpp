@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "platform/allocator.hpp"
 #include "platform/fattree.hpp"
 #include "platform/platform_model.hpp"
@@ -176,11 +180,11 @@ TEST(FatTree, PlacementChangesRateCap) {
 // --- Queued PFS device ----------------------------------------------------
 
 TEST(PfsDevice, FifoAdmissionAndFairShare) {
-  // 2 channels × 10 B/s. Three 100-byte transfers, each rate-capped at 10:
-  // A and B are admitted (10 B/s each), C waits. A and B complete at 10 s;
-  // C then runs alone at its 10 B/s cap and completes at 20 s.
+  // 2 slots, 20 B/s aggregate. Three 100-byte transfers, each rate-capped
+  // at 10: A and B are admitted (10 B/s each), C waits. A and B complete at
+  // 10 s; C then runs alone at its 10 B/s cap and completes at 20 s.
   Simulation sim;
-  PfsDevice device{sim, 2, bps(10.0)};
+  PfsDevice device{sim, 2, bps(20.0)};
   std::vector<double> done(3, -1.0);
   for (int i = 0; i < 3; ++i) {
     device.begin_transfer(DataSize::bytes(100.0), bps(10.0), Duration::seconds(10.0),
@@ -199,10 +203,10 @@ TEST(PfsDevice, FifoAdmissionAndFairShare) {
 }
 
 TEST(PfsDevice, UncappedTransfersShareAggregate) {
-  // 2 channels × 10 B/s = 20 aggregate; two uncapped transfers run at 10
-  // each, and the survivor speeds to 20 when the first completes.
+  // 2 slots, 20 B/s aggregate; two uncapped transfers run at 10 each, and
+  // the survivor speeds to 20 when the first completes.
   Simulation sim;
-  PfsDevice device{sim, 2, bps(10.0)};
+  PfsDevice device{sim, 2, bps(20.0)};
   double small_done = -1.0;
   double big_done = -1.0;
   device.begin_transfer(DataSize::bytes(300.0), bps(1e9), Duration::seconds(1.0),
@@ -241,6 +245,140 @@ TEST(PfsDevice, CancelQueuedAndActive) {
   // ran the full 100 bytes at 10 B/s from t = 0.
   EXPECT_NEAR(survivor_done, 10.0, 1e-6);
   EXPECT_EQ(device.completed_transfers(), 1U);
+}
+
+// With unbounded admission and a common rate cap the device is an
+// egalitarian processor-sharing queue: the flat model's contended PFS.
+
+constexpr std::uint32_t kUnbounded = std::numeric_limits<std::uint32_t>::max();
+
+TEST(PfsDevice, LoneTransferRunsAtPerStreamCap) {
+  Simulation sim;
+  PfsDevice device{sim, kUnbounded, bps(100.0)};
+  double done_at = -1.0;
+  device.begin_transfer(DataSize::bytes(50.0), bps(10.0), Duration::seconds(5.0),
+                        [&] { done_at = sim.now().to_seconds(); });
+  EXPECT_EQ(device.in_service(), 1U);
+  sim.run();
+  EXPECT_DOUBLE_EQ(done_at, 5.0);  // 50 bytes at 10 B/s
+  EXPECT_EQ(device.completed_transfers(), 1U);
+}
+
+TEST(PfsDevice, CapacitySharedBeyondSaturation) {
+  // Aggregate 20, cap 10: two transfers would still run at 10 each; four
+  // run at 5, all admitted at once (no queueing).
+  Simulation sim;
+  PfsDevice device{sim, kUnbounded, bps(20.0)};
+  std::vector<double> done;
+  for (int i = 0; i < 4; ++i) {
+    device.begin_transfer(DataSize::bytes(100.0), bps(10.0), Duration::seconds(10.0),
+                          [&] { done.push_back(sim.now().to_seconds()); });
+  }
+  EXPECT_EQ(device.in_service(), 4U);
+  EXPECT_EQ(device.queued(), 0U);
+  sim.run();
+  ASSERT_EQ(done.size(), 4U);
+  // All four start together and share equally throughout: 4 x 100 bytes /
+  // 20 B/s = 20 s each.
+  for (double t : done) EXPECT_NEAR(t, 20.0, 1e-9);
+}
+
+TEST(PfsDevice, RatesRecomputeOnCompletion) {
+  // Two transfers of different sizes at aggregate 10 (cap 10): both run at
+  // 5 until the small one finishes, then the big one speeds to 10.
+  // Small: 50 bytes -> t = 10. Big: 150 bytes: 50 done by t=10, remaining
+  // 100 at 10 B/s -> t = 20.
+  Simulation sim;
+  PfsDevice device{sim, kUnbounded, bps(10.0)};
+  double small_done = -1.0;
+  double big_done = -1.0;
+  device.begin_transfer(DataSize::bytes(150.0), bps(10.0), Duration::seconds(15.0),
+                        [&] { big_done = sim.now().to_seconds(); });
+  device.begin_transfer(DataSize::bytes(50.0), bps(10.0), Duration::seconds(5.0),
+                        [&] { small_done = sim.now().to_seconds(); });
+  sim.run();
+  EXPECT_NEAR(small_done, 10.0, 1e-9);
+  EXPECT_NEAR(big_done, 20.0, 1e-9);
+}
+
+TEST(PfsDevice, LateArrivalSlowsInFlightTransfer) {
+  // Transfer A (100 bytes) alone at 10 B/s; at t=5 transfer B (25 bytes)
+  // arrives, both drop to 5 B/s. B finishes at t=10; A has 25 left ->
+  // finishes at t=12.5.
+  Simulation sim;
+  PfsDevice device{sim, kUnbounded, bps(10.0)};
+  double a_done = -1.0;
+  double b_done = -1.0;
+  device.begin_transfer(DataSize::bytes(100.0), bps(10.0), Duration::seconds(10.0),
+                        [&] { a_done = sim.now().to_seconds(); });
+  sim.schedule_at(TimePoint::at(Duration::seconds(5.0)), [&] {
+    device.begin_transfer(DataSize::bytes(25.0), bps(10.0), Duration::seconds(2.5),
+                          [&] { b_done = sim.now().to_seconds(); });
+  });
+  sim.run();
+  EXPECT_NEAR(b_done, 10.0, 1e-9);
+  EXPECT_NEAR(a_done, 12.5, 1e-9);
+}
+
+TEST(PfsDevice, CancelFreesBandwidth) {
+  // A and B share 10 B/s; at t=5, B is cancelled and A speeds back up.
+  // A: 100 bytes; 25 done by t=5, 75 at 10 B/s -> t = 12.5.
+  Simulation sim;
+  PfsDevice device{sim, kUnbounded, bps(10.0)};
+  double a_done = -1.0;
+  bool b_done = false;
+  device.begin_transfer(DataSize::bytes(100.0), bps(10.0), Duration::seconds(10.0),
+                        [&] { a_done = sim.now().to_seconds(); });
+  const auto b = device.begin_transfer(DataSize::bytes(500.0), bps(10.0),
+                                       Duration::seconds(50.0), [&] { b_done = true; });
+  sim.schedule_at(TimePoint::at(Duration::seconds(5.0)), [&] {
+    EXPECT_TRUE(device.cancel(b));
+    EXPECT_FALSE(device.cancel(b));  // second cancel is a no-op
+  });
+  sim.run();
+  EXPECT_NEAR(a_done, 12.5, 1e-9);
+  EXPECT_FALSE(b_done);
+}
+
+TEST(PfsDevice, ZeroSizeTransferCompletesImmediately) {
+  Simulation sim;
+  PfsDevice device{sim, kUnbounded, bps(10.0)};
+  bool done = false;
+  device.begin_transfer(DataSize::zero(), bps(10.0), Duration::zero(), [&] { done = true; });
+  sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 0.0);
+}
+
+TEST(PfsDevice, CompletesAtLargeClockValues) {
+  // At t = 1e9 s the clock's ulp (~1.2e-7 s) dwarfs a nanosecond. The tiny
+  // transfer's ETA (1e-8 s) rounds away, so its completion event fires at
+  // the same timestamp with 0.01 bytes still pending — far above the 1e-6
+  // byte epsilon and the 1e-3 bytes a nanosecond carries at 1e6 B/s. Only
+  // the ulp-scaled done-threshold retires it; without it the event would
+  // re-fire at the same timestamp forever. The guarded run() bounds the
+  // damage if that regresses.
+  Simulation sim;
+  PfsDevice device{sim, kUnbounded, bps(4e6)};
+  const double t0 = 1e9;
+  std::vector<double> done;
+  sim.schedule_at(TimePoint::at(Duration::seconds(t0)), [&] {
+    for (double bytes : {1e6, 2e6, 3e6, 0.01}) {
+      device.begin_transfer(DataSize::bytes(bytes), bps(1e6), Duration::seconds(bytes / 1e6),
+                            [&] { done.push_back(sim.now().to_seconds() - t0); });
+    }
+  });
+  sim.run(/*max_events=*/1000);
+  ASSERT_EQ(done.size(), 4U);
+  EXPECT_EQ(device.completed_transfers(), 4U);
+  EXPECT_EQ(sim.pending_events(), 0U);
+  EXPECT_LT(sim.events_processed(), 20U);
+  // Four transfers at 1e6 B/s each (aggregate 4e6 is never oversubscribed):
+  // the tiny one finishes at its arrival, the rest at 1, 2 and 3 s.
+  EXPECT_DOUBLE_EQ(done[0], 0.0);
+  EXPECT_DOUBLE_EQ(done[1], 1.0);
+  EXPECT_DOUBLE_EQ(done[2], 2.0);
+  EXPECT_DOUBLE_EQ(done[3], 3.0);
 }
 
 // --- Topology-aware allocation --------------------------------------------

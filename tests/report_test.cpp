@@ -146,7 +146,7 @@ TEST_P(WorkloadFuzz, AccountingIdentitiesHold) {
       kinds[static_cast<std::size_t>(rng.next_below(static_cast<std::uint32_t>(kinds.size())))]);
   config.seed = seed;
   config.burst_probability = rng.bernoulli(0.5) ? 0.2 : 0.0;
-  config.model_pfs_contention = rng.bernoulli(0.5);
+  config.pfs_gateways = rng.bernoulli(0.5) ? 4U : 0U;
 
   const WorkloadRunResult result = run_workload(config, pattern);
   EXPECT_EQ(result.completed + result.dropped, result.total_jobs);

@@ -161,6 +161,14 @@ TEST(StudyMainDeathTest, ResumeWithoutJournalExitsUsage) {
               ::testing::ExitedWithCode(CliParser::kExitUsage), "--resume");
 }
 
+TEST(StudyMainDeathTest, PfsContentionRejectsNonFlatPlatform) {
+  // The flat-model contention ablation must refuse a fat-tree platform
+  // before running (and journaling) any cell.
+  const char* argv[] = {"prog", "--patterns=1", "--platform.model=fattree", "--no-ledger"};
+  EXPECT_EXIT(study_main("ablation_pfs_contention", 4, argv),
+              ::testing::ExitedWithCode(CliParser::kExitUsage), "platform.model");
+}
+
 // The exit-2 contract for `xres sweep`: every malformed invocation dies with
 // the usage exit code and a one-line diagnostic naming the offending key.
 using SweepMainDeathTest = ::testing::Test;

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "util/check.hpp"
@@ -160,8 +161,13 @@ TEST(DiscreteDistribution, RejectsInvalidWeights) {
 }
 
 struct PmfCase {
+  const char* name;
   std::vector<double> weights;
 };
+
+// Prints the case name, which keeps test names stable: without it the
+// parameter prints as raw bytes, i.e. the vector's heap addresses.
+void PrintTo(const PmfCase& c, std::ostream* os) { *os << c.name; }
 
 class DiscreteDistributionPmf : public ::testing::TestWithParam<PmfCase> {};
 
@@ -180,11 +186,12 @@ TEST_P(DiscreteDistributionPmf, EmpiricalMatchesExact) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pmfs, DiscreteDistributionPmf,
-    ::testing::Values(PmfCase{{1.0}}, PmfCase{{0.55, 0.35, 0.10}},
-                      PmfCase{{1.0, 1.0, 1.0, 1.0}},
-                      PmfCase{{0.01, 0.99}},
-                      PmfCase{{5.0, 0.0, 5.0}},
-                      PmfCase{{1, 2, 3, 4, 5, 6, 7, 8}}));
+    ::testing::Values(PmfCase{"Single", {1.0}},
+                      PmfCase{"Skewed", {0.55, 0.35, 0.10}},
+                      PmfCase{"Uniform", {1.0, 1.0, 1.0, 1.0}},
+                      PmfCase{"Rare", {0.01, 0.99}},
+                      PmfCase{"ZeroMiddle", {5.0, 0.0, 5.0}},
+                      PmfCase{"Ramp", {1, 2, 3, 4, 5, 6, 7, 8}}));
 
 TEST(DiscreteDistribution, ZeroWeightCategoryNeverSampled) {
   DiscreteDistribution dist{std::vector<double>{1.0, 0.0, 1.0}};

@@ -190,6 +190,37 @@ topology_check() {
     return 1
   fi
 
+  # The flat-model PFS contention ablation refuses a non-flat platform up
+  # front (usage exit 2, before any cell runs or is journaled).
+  rc=0
+  "$BUILD"/tools/xres run ablation_pfs_contention --set patterns=1 \
+    --platform.model fattree --no-ledger > /dev/null 2>&1 || rc=$?
+  if [[ "$rc" != 2 ]]; then
+    echo "topology: expected exit 2 for ablation_pfs_contention on fattree, got $rc" >&2
+    return 1
+  fi
+
+  # The contended flat PFS end to end (a shared PfsDevice with unbounded
+  # admission): fresh, repeated, and journaled-then-resumed runs must agree
+  # byte for byte on stdout and metrics. The study is serial, so there is
+  # no threads axis.
+  local pfs=(run ablation_pfs_contention --set patterns=2 --no-ledger)
+  "$BUILD"/tools/xres "${pfs[@]}" --metrics "$dir/pfs-a.json" > "$dir/pfs-a.txt"
+  "$BUILD"/tools/xres "${pfs[@]}" --metrics "$dir/pfs-b.json" > "$dir/pfs-b.txt"
+  "$BUILD"/tools/xres "${pfs[@]}" --journal "$dir/pfs.jsonl" \
+    --metrics "$dir/pfs-void.json" > /dev/null
+  "$BUILD"/tools/xres "${pfs[@]}" --journal "$dir/pfs.jsonl" --resume \
+    --metrics "$dir/pfs-r.json" > "$dir/pfs-r.txt"
+  local pfs_filter=(grep -v -e '^journal ' -e '^recovery: ' -e '^metrics written to ')
+  local run
+  for run in a b r; do
+    "${pfs_filter[@]}" "$dir/pfs-$run.txt" > "$dir/pfs-$run-clean.txt"
+  done
+  cmp "$dir/pfs-a-clean.txt" "$dir/pfs-b-clean.txt"
+  cmp "$dir/pfs-a-clean.txt" "$dir/pfs-r-clean.txt"
+  cmp "$dir/pfs-a.json" "$dir/pfs-b.json"
+  cmp "$dir/pfs-a.json" "$dir/pfs-r.json"
+
   # SIGKILL a journaled fattree run mid-flight; --resume must reproduce the
   # golden bytes (if the race is lost the resume is a full replay — still a
   # valid check).
@@ -205,7 +236,8 @@ topology_check() {
   "${filter[@]}" "$dir/r4.txt" > "$dir/r4-clean.txt"
   "${filter[@]}" "$dir/resumed.txt" > "$dir/resumed-clean.txt"
   cmp "$dir/r4-clean.txt" "$dir/resumed-clean.txt"
-  echo "topology: OK (fattree threads 1 vs 4 + flat default + resume byte-identical)"
+  echo "topology: OK (fattree threads 1 vs 4 + flat default + resume byte-identical;" \
+    "contended flat PFS repeat + resume byte-identical, fattree rejected)"
 }
 topology_check
 stage_done topology

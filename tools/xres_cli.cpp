@@ -109,9 +109,9 @@ void list_markdown() {
   std::printf("# Study catalog\n\n");
   std::printf("Every paper figure, table, ablation and extension experiment is\n"
               "registered in the `xres::study` registry (src/study/). Run one with\n"
-              "`xres run <study> [--set key=value ...]` or its bench alias binary;\n"
-              "`xres suite paper --out-dir <dir>` regenerates every figure/table\n"
-              "artifact with a checksummed manifest. Studies can also be derived\n"
+              "`xres run <study> [--set key=value ...]`; `xres suite paper\n"
+              "--out-dir <dir>` regenerates every figure/table artifact with a\n"
+              "checksummed manifest. Studies can also be derived\n"
               "at runtime from TOML/JSON spec files (`xres run --from spec.toml`)\n"
               "and fanned across parameter grids (`xres sweep <study> --axis\n"
               "key=v1,v2,...`) — see docs/SPECS.md.\n\n");
@@ -268,7 +268,7 @@ int cmd_run(int argc, const char* const* argv) {
   }
   // Translate each `--set key=value` into the study parser's native
   // `--key=value`; an unknown key then fails parse with exit 2, exactly as
-  // a typo'd option on the bench alias binary would.
+  // a typo'd native option would.
   std::vector<std::string> args;
   args.emplace_back("xres run " +
                     (from_def != nullptr ? from_def->name : name));  // argv[0]
