@@ -189,10 +189,8 @@ ExecutionResult run_trial(const TraceTrialSpec& spec, std::uint64_t seed,
   // API symmetry and future runtime knobs.
   if (!spec.plan.feasible) return infeasible_result(spec.plan, obs);
 
-  if (trial_engine() == TrialEngine::kDirect) {
-    return run_trace_trial_direct(spec.plan, spec.trace, seed, obs);
-  }
-
+  // One path on both engines (core/trial_engine.hpp): the replayed
+  // failures are queued up front, the runtime's phases use the calendar.
   Simulation sim;
   ExecutionResult final_result;
   bool finished = false;
@@ -212,6 +210,7 @@ ExecutionResult run_trial(const TraceTrialSpec& spec, std::uint64_t seed,
   sim.run();
 
   XRES_CHECK(finished, "trace trial ended without a completion callback");
+  if (trial_engine() == TrialEngine::kDirect) obs::perf_add_batched_trials(1);
   record_trial_metrics(obs, final_result, sim.events_processed());
   return final_result;
 }

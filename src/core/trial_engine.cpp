@@ -6,8 +6,6 @@
 #include <string_view>
 #include <utility>
 
-#include "failure/replay.hpp"
-#include "failure/trace.hpp"
 #include "obs/perf.hpp"
 #include "resilience/planner.hpp"
 #include "runtime/app_runtime.hpp"
@@ -33,10 +31,6 @@ TrialEngine engine_from_env() {
                 "' (expected event|direct|auto); using auto");
   return TrialEngine::kDirect;
 }
-
-/// The three direct event sources, in the tag order used for tie-breaking
-/// bookkeeping only (ordering is always by (time, seq)).
-enum class DirectEvent { kNone, kFailure, kTimeout, kPhase };
 
 }  // namespace
 
@@ -131,65 +125,93 @@ const ExecutionPlan& cached_plan(const SingleAppTrialConfig& config) {
 
 namespace {
 
-/// The shared virtual pop + dispatch loop. \p next_failure_time/seq/pending
-/// describe the driver's failure stream slot; \p fire_failure dispatches it
-/// (and re-arms it for the lazy generated stream). Mirrors Simulation::run:
-/// watchdog poll every 4096 events *before* the pop, clock advanced to the
-/// popped event's time, loop exit on request_stop or a drained "queue".
-template <typename FailureSlot, typename FireFailure>
-void run_direct_loop(Simulation& sim, ResilientAppRuntime& runtime, DirectHost& host,
-                     FailureSlot&& failure_slot, FireFailure&& fire_failure) {
+/// The direct engine's failure stream: AppFailureProcess's draws in its
+/// exact RNG order (the first gap at start(), then per delivery a severity
+/// sample followed by the next gap), published into a phase-calendar slot
+/// instead of the event queue. Each publish draws its insertion seq where
+/// AppFailureProcess's schedule_after would, so the trial's total event
+/// order — and every observable — matches the event engine, while the
+/// trial never touches the event heap.
+class CalendarFailureStream final : private CalendarClient {
+ public:
+  CalendarFailureStream(Simulation& sim, ResilientAppRuntime& runtime,
+                        const SeverityModel& severity, const FailureDistribution& dist,
+                        Rate rate, Pcg32 rng)
+      : sim_{sim},
+        runtime_{runtime},
+        severity_{severity},
+        dist_{dist},
+        rate_{rate},
+        rng_{rng},
+        slot_{sim.open_slot(*this, 0)} {}
+
+  CalendarFailureStream(const CalendarFailureStream&) = delete;
+  CalendarFailureStream& operator=(const CalendarFailureStream&) = delete;
+  ~CalendarFailureStream() { sim_.close_slot(slot_); }
+
+  /// AppFailureProcess::start(): publish the first failure.
+  void start() { publish_next(); }
+
+  [[nodiscard]] CalendarSlot slot() const { return slot_; }
+
+ private:
+  void publish_next() {
+    const Duration gap = dist_.draw(rng_, rate_);
+    if (!gap.is_finite()) return;  // zero rate: no failures ever
+    sim_.publish_after(slot_, gap);
+  }
+
+  void on_calendar(std::uint32_t) override {
+    const Failure failure{sim_.now(), severity_.sample(rng_)};
+    publish_next();
+    runtime_.on_failure(failure);
+  }
+
+  Simulation& sim_;
+  ResilientAppRuntime& runtime_;
+  const SeverityModel& severity_;
+  const FailureDistribution& dist_;
+  Rate rate_;
+  Pcg32 rng_;
+  CalendarSlot slot_;
+};
+
+/// Simulation::run for a planned trial: every pending entry is one of the
+/// runtime's two calendar slots or the failure stream's (the event queue
+/// stays empty). Same watchdog cadence, stop check and (time, seq) order as
+/// run(), but the front is found by comparing those three slots' entries
+/// directly, so the calendar's tree is never consulted. The earlier of the
+/// failure and the wall-time cap is the "interrupt"; neither changes while
+/// phase completions dispatch (the failure slot is republished only when it
+/// fires, and the runtime retracts its cap only when the run ends, which
+/// requests the stop), so the steady-state work/checkpoint alternation
+/// re-checks one bound per event — a predictable branch the CPU runs ahead
+/// of, firing the phase slot through a fixed handle and a direct call.
+void run_direct(Simulation& sim, ResilientAppRuntime& runtime, CalendarSlot failure) {
+  using Entry = PhaseCalendar::Entry;
+  const CalendarSlot phase = runtime.phase_slot();
+  const CalendarSlot timeout = runtime.timeout_slot();
   std::uint64_t executed = 0;
-  while (!sim.stop_requested()) {
-    // Merge the failure and timeout slots into the earliest "interrupt".
-    // Neither changes while phase events dispatch (a failure slot is only
-    // re-armed by fire_failure; the timeout is cancelled only on paths that
-    // also request_stop), so the steady-state work/checkpoint alternation
-    // below re-checks just one (time, seq) bound per event.
-    DirectEvent interrupt = DirectEvent::kNone;
-    // +inf sentinel: phase events (always finite) sort before an absent
-    // interrupt without a separate emptiness test in the drain condition.
-    TimePoint int_time = TimePoint::origin() + Duration::infinity();
-    std::uint64_t int_seq = 0;
-    TimePoint fail_time{};
-    std::uint64_t fail_seq = 0;
-    if (failure_slot(fail_time, fail_seq)) {
-      interrupt = DirectEvent::kFailure;
-      int_time = fail_time;
-      int_seq = fail_seq;
-    }
-    if (host.timeout_pending &&
-        (interrupt == DirectEvent::kNone || host.timeout_time < int_time ||
-         (host.timeout_time == int_time && host.timeout_seq < int_seq))) {
-      interrupt = DirectEvent::kTimeout;
-      int_time = host.timeout_time;
-      int_seq = host.timeout_seq;
-    }
-
-    while (host.phase_pending &&
-           (host.phase_time < int_time ||
-            (host.phase_time == int_time && host.phase_seq < int_seq))) {
-      if ((executed & 0xFFFU) == 0) {
-        sim.count_watchdog_poll();
-        deadline_poll();
-      }
-      sim.advance_direct(host.phase_time);
-      runtime.dispatch_phase_direct();
-      ++executed;
-      if (sim.stop_requested()) return;
-    }
-
-    if (interrupt == DirectEvent::kNone) break;
+  const auto poll = [&] {
     if ((executed & 0xFFFU) == 0) {
       sim.count_watchdog_poll();
       deadline_poll();
     }
-    sim.advance_direct(int_time);
-    if (interrupt == DirectEvent::kFailure) {
-      fire_failure();
-    } else {
-      runtime.dispatch_timeout_direct();
+  };
+  while (!sim.stop_requested()) {
+    const CalendarSlot interrupt =
+        PhaseCalendar::earlier(sim.slot_entry(timeout), sim.slot_entry(failure)) ? timeout
+                                                                                 : failure;
+    const Entry bound = sim.slot_entry(interrupt);
+    while (PhaseCalendar::earlier(sim.slot_entry(phase), bound)) {
+      poll();
+      sim.fire_slot(phase, runtime);
+      ++executed;
+      if (sim.stop_requested()) return;
     }
+    if (!bound.published()) break;  // nothing pending
+    poll();
+    sim.fire_slot(interrupt);
     ++executed;
   }
 }
@@ -203,7 +225,6 @@ ExecutionResult run_plan_trial_direct(const ExecutionPlan& plan,
   Simulation sim;
   ExecutionResult final_result;
   bool finished = false;
-  DirectHost host;
 
   ResilientAppRuntime runtime{
       sim, plan, derive_seed(seed, 0x72756e74696dULL), [&](const ExecutionResult& r) {
@@ -212,94 +233,14 @@ ExecutionResult run_plan_trial_direct(const ExecutionPlan& plan,
         sim.request_stop();
       }};
   runtime.set_observer(obs);
-  runtime.attach_direct_host(&host);
 
-  // The failure stream, drawn lazily in AppFailureProcess's exact RNG
-  // order: the first gap before the runtime starts, then per delivery a
-  // severity sample followed by the next gap.
-  Pcg32 rng{derive_seed(seed, 0x6661696c7321ULL)};
-  bool fail_pending = false;
-  TimePoint fail_time{};
-  std::uint64_t fail_seq = 0;
-  const auto schedule_next_failure = [&] {
-    const Duration gap = dist.draw(rng, plan.failure_rate);
-    if (!gap.is_finite()) return;  // zero rate: no failures ever
-    fail_time = sim.now() + gap;
-    fail_seq = host.next_seq++;
-    fail_pending = true;
-  };
-
-  schedule_next_failure();  // AppFailureProcess::start()
+  CalendarFailureStream failures{sim, runtime, severity, dist, plan.failure_rate,
+                                 Pcg32{derive_seed(seed, 0x6661696c7321ULL)}};
+  failures.start();
   runtime.start();
-
-  run_direct_loop(
-      sim, runtime, host,
-      [&](TimePoint& when, std::uint64_t& seq) {
-        if (!fail_pending) return false;
-        when = fail_time;
-        seq = fail_seq;
-        return true;
-      },
-      [&] {
-        fail_pending = false;
-        const Failure failure{sim.now(), severity.sample(rng)};
-        schedule_next_failure();
-        runtime.on_failure(failure);
-      });
+  run_direct(sim, runtime, failures.slot());
 
   XRES_CHECK(finished, "plan trial ended without a completion callback");
-  obs::perf_add_batched_trials(1);
-  record_trial_metrics(obs, final_result, sim.events_processed());
-  return final_result;
-}
-
-ExecutionResult run_trace_trial_direct(const ExecutionPlan& plan,
-                                       const FailureTrace& trace, std::uint64_t seed,
-                                       obs::TrialObs* obs) {
-  Simulation sim;
-  ExecutionResult final_result;
-  bool finished = false;
-  DirectHost host;
-
-  ResilientAppRuntime runtime{
-      sim, plan, derive_seed(seed, 0x72756e74696dULL), [&](const ExecutionResult& r) {
-        final_result = r;
-        finished = true;
-        sim.request_stop();
-      }};
-  runtime.set_observer(obs);
-  runtime.attach_direct_host(&host);
-
-  // TraceFailureProcess::start() schedules every replayed failure up front
-  // in trace order, consuming insertion seqs 0..n-1 before the runtime's
-  // timeout/phase events; past-time failures are skipped and consume none.
-  const std::vector<Failure>& failures = trace.failures();
-  std::size_t next = 0;
-  while (next < failures.size() && failures[next].time < sim.now()) ++next;
-  const std::size_t skipped = next;
-  if (skipped > 0) {
-    XRES_LOG_WARN("trace replay skipped " + std::to_string(skipped) +
-                  " failures that predate the current simulation time");
-  }
-  host.next_seq = failures.size() - skipped;
-
-  runtime.start();
-
-  run_direct_loop(
-      sim, runtime, host,
-      [&](TimePoint& when, std::uint64_t& seq) {
-        if (next >= failures.size()) return false;
-        when = failures[next].time;
-        seq = next - skipped;
-        return true;
-      },
-      [&] {
-        const Failure& failure = failures[next];
-        ++next;
-        runtime.on_failure(failure);
-      });
-
-  XRES_CHECK(finished, "trace trial ended without a completion callback");
   obs::perf_add_batched_trials(1);
   record_trial_metrics(obs, final_result, sim.events_processed());
   return final_result;

@@ -3,27 +3,31 @@
 /// \file trial_engine.hpp
 /// Trial execution engines.
 ///
-/// Every single-application trial can run on one of two engines:
+/// Every single-application trial runs in a Simulation whose application
+/// runtime publishes its phase boundaries and wall-time cap into the phase
+/// calendar (sim/phase_calendar.hpp) — the one scheduling path shared with
+/// the workload engine, tests and examples. The two trial engines differ in
+/// where a planned trial's failure stream lives and in who runs the loop:
 ///
-///  * **event** — the reference path: failure process, phase completions
-///    and the wall-time cap are all events in the Simulation's queue
-///    (sim/event_queue.hpp), popped in (time, insertion-seq) order.
-///  * **direct** — the batched fast path: the trial driver owns the three
-///    pending events (next failure, phase completion, timeout) as plain
-///    slots, merges them by the same (time, seq) order with a shared
-///    virtual insertion counter (runtime/app_runtime.hpp `DirectHost`),
-///    and dispatches handlers through a closure-free switch. No queue
-///    traffic, no per-phase callback construction, no per-trial
-///    SeverityModel or plan rebuild (thread-local caches) — while every
-///    observable (results, metrics including `sim_events`, traces, RNG
-///    draw order, watchdog-poll timing) is byte-identical to the event
-///    path. The differential harness (tests/surrogate_diff_test.cpp) and
+///  * **event** — the reference path: AppFailureProcess schedules each
+///    failure as an event-queue callback (sim/event_queue.hpp) and
+///    Simulation::run merges queue and calendar.
+///  * **direct** — the fast path: the same draws, in the same RNG order,
+///    published into a calendar slot of their own, so the trial never
+///    touches the event heap, and a loop that is Simulation::run narrowed
+///    to the trial's three calendar slots; plus no per-trial SeverityModel
+///    or plan rebuild (thread-local caches). Every observable (results,
+///    metrics including `sim_events`, traces, RNG draw order, watchdog-poll
+///    timing) is byte-identical to the event path, because every seq is
+///    drawn at the same point and handlers run in the same (time, seq)
+///    order. The differential harness (tests/surrogate_diff_test.cpp) and
 ///    tier-1's determinism stage enforce that equivalence.
 ///
+/// Trace-replay trials have a fixed, pre-ordered failure list and run one
+/// path on both settings (TraceFailureProcess queues it up front).
+///
 /// Selection: `XRES_TRIAL_ENGINE=event|direct|auto` (default `auto`, which
-/// runs direct whenever the trial is eligible — all `run_trial` work kinds
-/// are; multi-app simulations with shared PFS services always use the
-/// event engine). Tests pin the engine programmatically with
+/// runs direct). Tests pin the engine programmatically with
 /// `ScopedTrialEngine`.
 
 #include <cstdint>
@@ -63,13 +67,6 @@ class ScopedTrialEngine {
                                                     const FailureDistribution& dist,
                                                     std::uint64_t seed,
                                                     obs::TrialObs* obs);
-
-/// Run one trace-replay trial on the direct engine. \p plan must be
-/// feasible.
-[[nodiscard]] ExecutionResult run_trace_trial_direct(const ExecutionPlan& plan,
-                                                     const FailureTrace& trace,
-                                                     std::uint64_t seed,
-                                                     obs::TrialObs* obs);
 
 /// Fold one finished trial into its observer: counters/gauges from the
 /// ExecutionResult plus the trial-shape histograms, including the exact

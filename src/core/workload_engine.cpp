@@ -35,8 +35,13 @@ class WorkloadEngine final : public SchedulerContext {
         severity_{config.resilience.severity_weights},
         scheduler_{make_scheduler(config.scheduler)},
         sched_rng_{derive_seed(config.seed, 0x7363686564ULL)},
-        jobs_{pattern.jobs} {
+        jobs_{pattern.jobs},
+        plans_(jobs_.size()) {
     config_.resilience.validate();
+    job_index_.reserve(jobs_.size());
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+      XRES_CHECK(job_index_.emplace(jobs_[i].id, i).second, "duplicate job id in pattern");
+    }
     if (config_.policy.mode == TechniquePolicy::Mode::kSelection) {
       selector_.emplace(config_.machine, config_.resilience);
     }
@@ -138,11 +143,16 @@ class WorkloadEngine final : public SchedulerContext {
     // Never start a job at or past its deadline: the concurrently firing
     // deadline event is about to drop it from the queue.
     if (job.deadline <= sim_.now()) return false;
-    ExecutionPlan plan = plan_for(job.spec);
-    if (!plan.feasible) return false;
+    // Planned once per job: the plan is a pure function of the spec, and a
+    // queued job is offered to the machine at every mapping event.
+    std::optional<ExecutionPlan>& cached = plans_[job_index_.at(job.id)];
+    if (!cached.has_value()) cached = plan_for(job.spec);
+    if (!cached->feasible) return false;
     const OwnerId owner = owner_of(job.id);
-    auto range = machine_.allocate(plan.physical_nodes, owner);
+    auto range = machine_.allocate(cached->physical_nodes, owner);
     if (!range.has_value()) return false;
+    ExecutionPlan plan = std::move(*cached);
+    cached.reset();
     on_utilization_changed();
     if (config_.record_occupancy) occupancy_.record_start(job.id, *range, sim_.now());
 
@@ -178,6 +188,7 @@ class WorkloadEngine final : public SchedulerContext {
   void drop(const Job& job) override {
     // Slack scheduler: deadline-infeasible, removed without executing.
     remove_unmapped(job.id);
+    plans_[job_index_.at(job.id)].reset();
     cancel_deadline(job.id);
     ++dropped_;
     ++dropped_before_start_;
@@ -185,12 +196,7 @@ class WorkloadEngine final : public SchedulerContext {
   }
 
  private:
-  const Job& job_of(JobId id) const {
-    for (const Job& job : jobs_) {
-      if (job.id == id) return job;
-    }
-    XRES_CHECK(false, "unknown job id");
-  }
+  const Job& job_of(JobId id) const { return jobs_[job_index_.at(id)]; }
 
   ExecutionPlan plan_for(const AppSpec& spec) {
     switch (config_.policy.mode) {
@@ -224,6 +230,7 @@ class WorkloadEngine final : public SchedulerContext {
       return;
     }
     if (remove_unmapped(id)) {
+      plans_[job_index_.at(id)].reset();
       ++dropped_;
       ++dropped_before_start_;
       note_departure();
@@ -310,6 +317,10 @@ class WorkloadEngine final : public SchedulerContext {
   std::unique_ptr<Scheduler> scheduler_;
   Pcg32 sched_rng_;
   std::vector<Job> jobs_;
+  std::unordered_map<JobId, std::size_t> job_index_;  ///< id -> jobs_ index
+  /// Memoized plans of jobs not yet started (moved into the runtime at
+  /// start, released on a drop), indexed like jobs_.
+  std::vector<std::optional<ExecutionPlan>> plans_;
 
   std::optional<ResilienceSelector> selector_;
   std::optional<SystemFailureProcess> failures_;

@@ -13,6 +13,7 @@ namespace {
 struct GlobalCounters {
   std::atomic<std::uint64_t> events_scheduled{0};
   std::atomic<std::uint64_t> events_popped{0};
+  std::atomic<std::uint64_t> events_direct{0};
   std::atomic<std::uint64_t> events_cancelled{0};
   std::atomic<std::uint64_t> heap_compactions{0};
   std::atomic<std::uint64_t> watchdog_polls{0};
@@ -40,8 +41,9 @@ void perf_add_engine(std::uint64_t scheduled, std::uint64_t popped,
   if (compactions != 0) g_counters.heap_compactions.fetch_add(compactions, kRelaxed);
 }
 
-void perf_add_watchdog_polls(std::uint64_t polls) {
-  if (polls != 0) g_counters.watchdog_polls.fetch_add(polls, kRelaxed);
+void perf_add_simulation(std::uint64_t watchdog_polls, std::uint64_t direct_events) {
+  if (watchdog_polls != 0) g_counters.watchdog_polls.fetch_add(watchdog_polls, kRelaxed);
+  if (direct_events != 0) g_counters.events_direct.fetch_add(direct_events, kRelaxed);
 }
 
 void perf_add_journal_fsync() {
@@ -71,6 +73,7 @@ PerfCounters perf_snapshot() {
   PerfCounters out;
   out.events_scheduled = g_counters.events_scheduled.load(kRelaxed);
   out.events_popped = g_counters.events_popped.load(kRelaxed);
+  out.events_direct = g_counters.events_direct.load(kRelaxed);
   out.events_cancelled = g_counters.events_cancelled.load(kRelaxed);
   out.heap_compactions = g_counters.heap_compactions.load(kRelaxed);
   out.watchdog_polls = g_counters.watchdog_polls.load(kRelaxed);
@@ -90,6 +93,7 @@ PerfCounters perf_delta(const PerfCounters& since) {
   PerfCounters out;
   out.events_scheduled = now.events_scheduled - since.events_scheduled;
   out.events_popped = now.events_popped - since.events_popped;
+  out.events_direct = now.events_direct - since.events_direct;
   out.events_cancelled = now.events_cancelled - since.events_cancelled;
   out.heap_compactions = now.heap_compactions - since.heap_compactions;
   out.watchdog_polls = now.watchdog_polls - since.watchdog_polls;
@@ -110,6 +114,7 @@ std::vector<std::pair<std::string, std::uint64_t>> perf_counter_items(
   return {
       {"events_scheduled", counters.events_scheduled},
       {"events_popped", counters.events_popped},
+      {"events_direct", counters.events_direct},
       {"events_cancelled", counters.events_cancelled},
       {"heap_compactions", counters.heap_compactions},
       {"watchdog_polls", counters.watchdog_polls},

@@ -23,7 +23,13 @@ namespace xres::obs {
 /// One coherent reading of every global counter.
 struct PerfCounters {
   std::uint64_t events_scheduled{0};
+  /// Events dispatched by popping the event heap.
   std::uint64_t events_popped{0};
+  /// Events dispatched without touching the heap: phase-calendar slots
+  /// (application phase boundaries and wall-time caps, and the direct
+  /// trial engine's failure stream; sim/simulation.hpp). popped + direct
+  /// is every executed simulation event.
+  std::uint64_t events_direct{0};
   std::uint64_t events_cancelled{0};
   std::uint64_t heap_compactions{0};
   std::uint64_t watchdog_polls{0};
@@ -40,14 +46,20 @@ struct PerfCounters {
   /// fall back to full simulation.
   std::uint64_t surrogate_hits{0};
   std::uint64_t surrogate_fallbacks{0};
+
+  /// Every executed simulation event: heap pops plus direct dispatches.
+  [[nodiscard]] std::uint64_t events_executed() const {
+    return events_popped + events_direct;
+  }
 };
 
 /// Flush one event-queue's lifetime tallies (called from ~EventQueue).
 void perf_add_engine(std::uint64_t scheduled, std::uint64_t popped,
                      std::uint64_t cancelled, std::uint64_t compactions);
 
-/// Flush one simulation's watchdog-poll tally (called from ~Simulation).
-void perf_add_watchdog_polls(std::uint64_t polls);
+/// Flush one simulation's watchdog-poll and calendar-dispatch tallies
+/// (called from ~Simulation).
+void perf_add_simulation(std::uint64_t watchdog_polls, std::uint64_t direct_events);
 
 /// Count one journal fsync batch (called at each successful flush_to_disk).
 void perf_add_journal_fsync();

@@ -23,9 +23,19 @@ ResilientAppRuntime::ResilientAppRuntime(Simulation& sim, ExecutionPlan plan,
   active_normal_nodes_ = static_cast<double>(plan_.physical_nodes);
   active_recovery_nodes_ = std::min(1.0 + plan_.recovery_parallelism,
                                     static_cast<double>(plan_.app.nodes));
+  phase_slot_ = sim_.open_slot(*this, kPhaseSlot);
+  timeout_slot_ = sim_.open_slot(*this, kTimeoutSlot);
 }
 
-ResilientAppRuntime::~ResilientAppRuntime() { cancel_pending(); }
+ResilientAppRuntime::~ResilientAppRuntime() { release_calendar(); }
+
+void ResilientAppRuntime::release_calendar() {
+  cancel_pending();
+  if (!slots_open_) return;
+  slots_open_ = false;
+  sim_.close_slot(phase_slot_);
+  sim_.close_slot(timeout_slot_);
+}
 
 const char* ResilientAppRuntime::phase_name() const {
   switch (phase_) {
@@ -91,15 +101,7 @@ void ResilientAppRuntime::start() {
   }
 
   if (plan_.max_wall_time.is_finite()) {
-    if (direct_ != nullptr) {
-      direct_->timeout_time = sim_.now() + plan_.max_wall_time;
-      direct_->timeout_seq = direct_->next_seq++;
-      direct_->timeout_pending = true;
-    } else {
-      timeout_event_ =
-          sim_.schedule_after(plan_.max_wall_time, [this] { abort_on_timeout(); });
-      has_timeout_ = true;
-    }
+    sim_.publish_after(timeout_slot_, plan_.max_wall_time);
   }
   enter_working();
 }
@@ -114,89 +116,57 @@ void ResilientAppRuntime::set_observer(obs::TrialObs* obs) {
   obs_ = obs;
 }
 
-void ResilientAppRuntime::attach_direct_host(DirectHost* host) {
-  XRES_CHECK(phase_ == Phase::kIdle, "direct host must be attached before start");
-  XRES_CHECK(pfs_service_ == nullptr,
-             "direct execution does not support a shared PFS transfer service");
-  XRES_CHECK(host != nullptr, "direct host must be non-null");
-  direct_ = host;
+void ResilientAppRuntime::on_calendar(std::uint32_t tag) {
+  if (tag == kTimeoutSlot) {
+    abort_on_timeout();
+  } else {
+    on_phase_done();
+  }
 }
 
-void ResilientAppRuntime::schedule_phase_direct(Duration nominal) {
-  // No pending-phase check: every schedule_phase_direct call is reached
-  // from a dispatch (or start) that just cleared the slot, and the event
-  // path's schedule_phase keeps the guarded equivalent.
-  // Same arithmetic as schedule_after: the completion time is bit-identical
-  // to what the event queue would have stored and popped.
-  direct_->phase_time = sim_.now() + nominal;
-  direct_->phase_seq = direct_->next_seq++;
-  direct_->phase_pending = true;
-}
-
-void ResilientAppRuntime::dispatch_phase_direct() {
-  direct_->phase_pending = false;
-  // The Duration arguments exist for the event path's lambdas; every
-  // handler ignores them (elapsed time is re-derived from phase_start_),
-  // so the direct dispatch passes zero instead of reloading plan data.
+void ResilientAppRuntime::on_phase_done() {
   switch (phase_) {
-    case Phase::kWorking: on_segment_done(phase_arg_); break;
-    case Phase::kCheckpointing:
-      on_checkpoint_done(phase_level_, Duration::zero());
-      break;
-    case Phase::kRestarting: on_restart_done(Duration::zero()); break;
-    case Phase::kRecovering: on_recovery_done(Duration::zero()); break;
+    case Phase::kWorking: on_segment_done(); break;
+    case Phase::kCheckpointing: on_checkpoint_done(); break;
+    case Phase::kRestarting: on_restart_done(); break;
+    case Phase::kRecovering: on_recovery_done(); break;
     case Phase::kIdle:
     case Phase::kDone:
     case Phase::kAborted:
-      XRES_CHECK(false, "direct phase dispatch outside an executing phase");
+      XRES_CHECK(false, "phase completion outside an executing phase");
   }
-}
-
-void ResilientAppRuntime::dispatch_timeout_direct() {
-  direct_->timeout_pending = false;
-  abort_on_timeout();
 }
 
 void ResilientAppRuntime::cancel_pending() {
-  if (direct_ != nullptr) {
-    direct_->phase_pending = false;
-    return;
-  }
-  if (!has_pending_) return;
-  if (pending_is_transfer_) {
+  if (transfer_pending_) {
     pfs_service_->cancel(pending_transfer_);
+    transfer_pending_ = false;
   } else {
-    sim_.cancel(pending_);
+    sim_.retract(phase_slot_);
   }
-  has_pending_ = false;
 }
 
-void ResilientAppRuntime::schedule_phase(Duration nominal, bool shared_pfs,
-                                         EventCallback done) {
-  XRES_CHECK(!has_pending_, "phase scheduled while another is pending");
-  // The handler is moved to a local before running: `done` re-enters
-  // schedule_phase for the next phase, which repopulates phase_done_.
-  phase_done_ = std::move(done);
-  auto wrapped = [this] {
-    has_pending_ = false;
-    EventCallback handler = std::move(phase_done_);
-    handler();
-  };
+void ResilientAppRuntime::schedule_phase(Duration nominal, bool shared_pfs) {
   if (shared_pfs && pfs_service_ != nullptr) {
-    if (obs_ != nullptr) obs_->count(obs::builtin_metrics().pfs_phases);
-    // phase_level_ is always current here: shared_pfs phases are entered
-    // only from enter_checkpointing / enter_restarting, which set it.
-    TransferRequest request;
-    request.nominal = nominal;
-    request.bytes = plan_.levels[phase_level_].pfs_bytes;
-    request.rate_cap = plan_.levels[phase_level_].pfs_rate_cap;
-    pending_transfer_ = pfs_service_->begin(request, std::move(wrapped));
-    pending_is_transfer_ = true;
+    begin_pfs_transfer(nominal);
   } else {
-    pending_ = sim_.schedule_after(nominal, std::move(wrapped));
-    pending_is_transfer_ = false;
+    sim_.publish_after(phase_slot_, nominal);
   }
-  has_pending_ = true;
+}
+
+void ResilientAppRuntime::begin_pfs_transfer(Duration nominal) {
+  if (obs_ != nullptr) obs_->count(obs::builtin_metrics().pfs_phases);
+  // phase_level_ is always current here: shared_pfs phases are entered
+  // only from enter_checkpointing / enter_restarting, which set it.
+  TransferRequest request;
+  request.nominal = nominal;
+  request.bytes = plan_.levels[phase_level_].pfs_bytes;
+  request.rate_cap = plan_.levels[phase_level_].pfs_rate_cap;
+  pending_transfer_ = pfs_service_->begin(request, [this] {
+    transfer_pending_ = false;
+    on_phase_done();
+  });
+  transfer_pending_ = true;
 }
 
 double ResilientAppRuntime::active_nodes() const {
@@ -287,19 +257,14 @@ void ResilientAppRuntime::enter_working() {
   const Duration target = std::min(next_checkpoint_at_, plan_.work_target);
   const Duration length = target - progress_;
   XRES_CHECK(length > Duration::zero(), "empty work segment");
-  if (direct_ != nullptr) {
-    phase_arg_ = target;
-    schedule_phase_direct(length);
-    return;
-  }
-  schedule_phase(length, /*shared_pfs=*/false,
-                 [this, target] { on_segment_done(target); });
+  segment_target_ = target;
+  schedule_phase(length, /*shared_pfs=*/false);
 }
 
-void ResilientAppRuntime::on_segment_done(Duration target) {
+void ResilientAppRuntime::on_segment_done() {
   accrue_known(sim_.now() - phase_start_, result_.time_working, SpanKind::kWork,
                active_normal_nodes_);
-  progress_ = target;
+  progress_ = segment_target_;
   if (progress_ >= plan_.work_target) {
     complete();
   } else {
@@ -320,15 +285,11 @@ void ResilientAppRuntime::enter_checkpointing() {
   const CheckpointLevelSpec& level = plan_.levels[idx];
   phase_level_ = idx;
   phase_pfs_ = level.uses_shared_pfs;
-  if (direct_ != nullptr) {
-    schedule_phase_direct(level.save_cost);
-    return;
-  }
-  schedule_phase(level.save_cost, level.uses_shared_pfs,
-                 [this, idx] { on_checkpoint_done(idx, plan_.levels[idx].save_cost); });
+  schedule_phase(level.save_cost, level.uses_shared_pfs);
 }
 
-void ResilientAppRuntime::on_checkpoint_done(std::size_t level_index, Duration) {
+void ResilientAppRuntime::on_checkpoint_done() {
+  const std::size_t level_index = phase_level_;
   const Duration elapsed = sim_.now() - phase_start_;
   accrue_known(elapsed, result_.time_checkpointing, SpanKind::kCheckpoint,
                active_normal_nodes_);
@@ -387,15 +348,10 @@ void ResilientAppRuntime::enter_restarting(std::size_t level_index, Duration res
   phase_level_ = level_index;
   phase_pfs_ = shared_pfs;
   if (obs_ != nullptr) obs_->count(obs::builtin_metrics().restarts);
-  if (direct_ != nullptr) {
-    schedule_phase_direct(restore_cost);
-    return;
-  }
-  schedule_phase(restore_cost, shared_pfs,
-                 [this, restore_cost] { on_restart_done(restore_cost); });
+  schedule_phase(restore_cost, shared_pfs);
 }
 
-void ResilientAppRuntime::on_restart_done(Duration) {
+void ResilientAppRuntime::on_restart_done() {
   accrue_known(sim_.now() - phase_start_, result_.time_restarting,
                SpanKind::kRestart, active_normal_nodes_);
   enter_working();
@@ -411,15 +367,10 @@ void ResilientAppRuntime::enter_recovering(Duration lost_work) {
                             lost_work / plan_.recovery_parallelism;
   // Parallel recovery restores from in-memory partner copies, never the
   // shared PFS.
-  if (direct_ != nullptr) {
-    schedule_phase_direct(duration);
-    return;
-  }
-  schedule_phase(duration, /*shared_pfs=*/false,
-                 [this, duration] { on_recovery_done(duration); });
+  schedule_phase(duration, /*shared_pfs=*/false);
 }
 
-void ResilientAppRuntime::on_recovery_done(Duration) {
+void ResilientAppRuntime::on_recovery_done() {
   accrue_known(sim_.now() - phase_start_, result_.time_recovering,
                SpanKind::kRecovery, active_recovery_nodes_);
   recovery_lost_ = Duration::zero();
@@ -431,19 +382,8 @@ void ResilientAppRuntime::on_recovery_done(Duration) {
   }
 }
 
-void ResilientAppRuntime::cancel_timeout() {
-  if (direct_ != nullptr) {
-    direct_->timeout_pending = false;
-    return;
-  }
-  if (!has_timeout_) return;
-  sim_.cancel(timeout_event_);
-  has_timeout_ = false;
-}
-
 void ResilientAppRuntime::complete() {
-  cancel_pending();
-  cancel_timeout();
+  release_calendar();
   phase_ = Phase::kDone;
   result_.completed = true;
   result_.wall_time = sim_.now() - start_time_;
@@ -458,10 +398,9 @@ void ResilientAppRuntime::complete() {
 }
 
 void ResilientAppRuntime::abort_on_timeout() {
-  has_timeout_ = false;
   if (finished()) return;
   accrue(sim_.now() - phase_start_);
-  cancel_pending();
+  release_calendar();
   phase_ = Phase::kAborted;
   result_.completed = false;
   result_.wall_time = sim_.now() - start_time_;
@@ -478,8 +417,7 @@ void ResilientAppRuntime::abort_on_timeout() {
 void ResilientAppRuntime::abort() {
   if (finished() || phase_ == Phase::kIdle) return;
   accrue(sim_.now() - phase_start_);
-  cancel_pending();
-  cancel_timeout();
+  release_calendar();
   phase_ = Phase::kAborted;
   result_.completed = false;
   result_.wall_time = sim_.now() - start_time_;

@@ -14,11 +14,20 @@
 ///              ├─ rollback techniques → Restarting → Working (recompute)
 ///              └─ parallel recovery → Recovering → resume (no rollback)
 ///
-/// The runtime is driven entirely by its owning Simulation: it schedules
-/// one pending phase-completion event at a time; `on_failure` cancels it
-/// and transitions. Progress is measured in stretched-work seconds against
-/// plan.work_target; a per-level ledger records the progress captured by
-/// the last completed checkpoint of each level.
+/// The runtime is driven entirely by its owning Simulation through two
+/// phase-calendar slots (sim/phase_calendar.hpp), open from construction
+/// until the run finishes: the current phase's completion and the
+/// wall-time cap. Entering a phase
+/// publishes the phase slot — one insertion seq, no callback object — and
+/// the calendar fires it back through on_calendar(), which re-derives the
+/// handler from the current phase. `on_failure` retracts it and
+/// transitions. The one exception is a phase that moves data through a
+/// shared PFS device (set_pfs_transfer_service): the device owns that
+/// phase's completion event, and its callback enters the next phase, which
+/// publishes into the calendar again. Progress is measured in
+/// stretched-work seconds against plan.work_target; a per-level ledger
+/// records the progress captured by the last completed checkpoint of each
+/// level.
 
 #include <cstdint>
 #include <functional>
@@ -40,26 +49,7 @@ namespace obs {
 class TrialObs;
 }
 
-/// Direct-execution hand-off between a ResilientAppRuntime and the direct
-/// trial engine (core/trial_engine.cpp). Instead of scheduling its phase
-/// and timeout events into the Simulation's queue, a direct-attached
-/// runtime publishes them into these slots; the engine's dispatch loop
-/// merges them with its own failure stream by (time, seq) — the exact total
-/// order the event queue would have produced. `next_seq` is the shared
-/// virtual insertion counter: every schedule action (failure gap, timeout,
-/// phase) consumes one in the same call order as the event path, so ties in
-/// time break identically.
-struct DirectHost {
-  TimePoint phase_time{};
-  std::uint64_t phase_seq{0};
-  bool phase_pending{false};
-  TimePoint timeout_time{};
-  std::uint64_t timeout_seq{0};
-  bool timeout_pending{false};
-  std::uint64_t next_seq{0};
-};
-
-class ResilientAppRuntime {
+class ResilientAppRuntime final : private CalendarClient {
  public:
   enum class Phase { kIdle, kWorking, kCheckpointing, kRestarting, kRecovering, kDone, kAborted };
 
@@ -119,6 +109,16 @@ class ResilientAppRuntime {
   /// Without it, nominal Eq.-3 durations are taken literally.
   void set_pfs_transfer_service(PfsDeviceTransferService* service);
 
+  /// Calendar dispatch (CalendarClient): the phase slot runs the current
+  /// phase's completion handler, the timeout slot the wall-time-cap abort.
+  void on_calendar(std::uint32_t tag) override;
+
+  /// The calendar slots of the phase completion and the wall-time cap, for
+  /// a loop that dispatches them itself (core/trial_engine.cpp). Valid
+  /// until the run finishes, which also fires the completion callback.
+  [[nodiscard]] CalendarSlot phase_slot() const { return phase_slot_; }
+  [[nodiscard]] CalendarSlot timeout_slot() const { return timeout_slot_; }
+
   /// The recorded timeline, or nullptr when recording was not enabled.
   [[nodiscard]] const Timeline* timeline() const {
     return timeline_.has_value() ? &*timeline_ : nullptr;
@@ -130,48 +130,33 @@ class ResilientAppRuntime {
   /// instrumentation site reduces to a pointer test.
   void set_observer(obs::TrialObs* obs);
 
-  /// Direct execution: publish phase/timeout events into \p host instead of
-  /// the Simulation queue (see DirectHost). Must be called before start();
-  /// incompatible with a PFS transfer service. \p host must outlive the
-  /// runtime.
-  void attach_direct_host(DirectHost* host);
-
-  /// Fire the pending phase-completion published in the direct host: clears
-  /// the pending flag and invokes the phase's completion handler, exactly
-  /// as the queued event's callback would. Only valid direct-attached with
-  /// a pending phase, at sim.now() == host->phase_time.
-  void dispatch_phase_direct();
-
-  /// Fire the pending wall-time-cap timeout published in the direct host.
-  void dispatch_timeout_direct();
-
  private:
+  /// Calendar slot tags.
+  enum : std::uint32_t { kPhaseSlot, kTimeoutSlot };
+
   void enter_working();
   void enter_checkpointing();
   void enter_restarting(std::size_t level_index, Duration restore_cost, bool shared_pfs);
   void enter_recovering(Duration lost_work);
 
-  /// Schedule the current phase's completion: a plain timer, or a shared
-  /// PFS transfer when the phase moves data through the file system and a
-  /// service is attached. \p done is parked in phase_done_ so the scheduled
-  /// closure captures only `this` (stays inline in SmallCallback's buffer).
-  void schedule_phase(Duration nominal, bool shared_pfs, EventCallback done);
+  /// Schedule the current phase's completion: publish the phase slot, or
+  /// begin a shared PFS transfer when the phase moves data through the
+  /// file system and a service is attached.
+  void schedule_phase(Duration nominal, bool shared_pfs);
+  /// schedule_phase's shared-PFS branch: the device completes the phase.
+  /// Kept out of line so schedule_phase stays a small inlinable publish.
+  [[gnu::noinline]] void begin_pfs_transfer(Duration nominal);
 
-  /// Direct-mode counterpart of schedule_phase: publishes the completion
-  /// time into the host (no callback — dispatch_phase_direct() re-derives
-  /// the handler from phase_ and phase_arg_, so the hot loop never builds a
-  /// closure).
-  void schedule_phase_direct(Duration nominal);
+  /// The current phase's completion handler (from either source).
+  void on_phase_done();
 
-  /// Cancel the pending timeout if any (queue or direct).
-  void cancel_timeout();
   void complete();
   void abort_on_timeout();
 
-  void on_segment_done(Duration length);
-  void on_checkpoint_done(std::size_t level_index, Duration cost);
-  void on_restart_done(Duration cost);
-  void on_recovery_done(Duration duration);
+  void on_segment_done();
+  void on_checkpoint_done();
+  void on_restart_done();
+  void on_recovery_done();
 
   /// Book elapsed phase time into the result buckets + energy integral.
   void accrue(Duration elapsed);
@@ -206,7 +191,14 @@ class ResilientAppRuntime {
   /// rate). Called after each completed checkpoint.
   void retune_quantum();
 
+  /// Retract the in-flight phase completion (calendar slot or transfer).
   void cancel_pending();
+
+  /// Leave the calendar for good (the run finished or the runtime is going
+  /// away): retract everything pending and close both slots, so a workload
+  /// calendar is sized by its running applications, not by every
+  /// application it ever started.
+  void release_calendar();
 
   Simulation& sim_;
   ExecutionPlan plan_;
@@ -254,25 +246,23 @@ class ResilientAppRuntime {
   std::optional<Timeline> timeline_;
   PfsDeviceTransferService* pfs_service_{nullptr};
   obs::TrialObs* obs_{nullptr};
-  DirectHost* direct_{nullptr};
 
-  /// kWorking's on_segment_done target in direct mode (the only handler
-  /// argument dispatch_phase_direct cannot re-derive from other state).
-  Duration phase_arg_{Duration::zero()};
+  /// Progress the current Working segment ends at (the one handler input
+  /// on_phase_done cannot re-derive from other state).
+  Duration segment_target_{Duration::zero()};
 
   /// Checkpoint level driving the current Checkpointing/Restarting phase
   /// and whether it moves data through the shared PFS (trace span args).
   std::size_t phase_level_{0};
   bool phase_pfs_{false};
 
-  EventId pending_{};
+  CalendarSlot phase_slot_;
+  CalendarSlot timeout_slot_;
+  bool slots_open_{true};
+  /// The in-flight phase is a PFS device transfer rather than a published
+  /// phase slot.
   PfsDeviceTransferService::TransferHandle pending_transfer_{};
-  bool pending_is_transfer_{false};
-  bool has_pending_{false};
-  /// Completion handler of the in-flight phase (see schedule_phase).
-  EventCallback phase_done_;
-  EventId timeout_event_{};
-  bool has_timeout_{false};
+  bool transfer_pending_{false};
 
   ExecutionResult result_{};
 };

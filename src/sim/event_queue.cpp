@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/perf.hpp"
+#include "sim/phase_calendar.hpp"
 #include "util/check.hpp"
 
 namespace xres {
@@ -27,7 +28,8 @@ std::uint64_t next_salt() {
 
 }  // namespace
 
-EventQueue::EventQueue() : salt_{next_salt()} {}
+EventQueue::EventQueue(PhaseCalendar* calendar)
+    : salt_{next_salt()}, calendar_{calendar} {}
 
 EventQueue::~EventQueue() {
   obs::perf_add_engine(stat_scheduled_, stat_popped_, stat_cancelled_,
@@ -41,20 +43,6 @@ bool EventQueue::decode(EventId id, std::uint32_t& slot,
   slot = static_cast<std::uint32_t>(raw & kIndexMask);
   generation = static_cast<std::uint32_t>((raw >> kIndexBits) & kGenMask);
   return true;
-}
-
-std::uint64_t EventQueue::time_to_bits(double t) noexcept {
-  t += 0.0;  // -0.0 + 0.0 == +0.0: keep the two zeros tied
-  std::uint64_t bits;
-  std::memcpy(&bits, &t, sizeof bits);
-  return (bits & (1ULL << 63)) != 0 ? ~bits : bits | (1ULL << 63);
-}
-
-double EventQueue::bits_to_time(std::uint64_t bits) noexcept {
-  bits = (bits & (1ULL << 63)) != 0 ? bits & ~(1ULL << 63) : ~bits;
-  double t;
-  std::memcpy(&t, &bits, sizeof t);
-  return t;
 }
 
 void EventQueue::heap_grow(std::size_t logical_capacity) const {
@@ -175,20 +163,24 @@ void EventQueue::sift_down(std::size_t logical) const {
 }
 
 void EventQueue::renumber_seqs() {
-  // Order of the outstanding entries by their (not yet wrapped) 32-bit
-  // seqs; reassigning ranks in that order preserves every pairwise
-  // comparison, so the heap remains valid and replay is unaffected.
-  std::vector<std::uint32_t> order(heap_size_);
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
-    return at(a).seq() < at(b).seq();
+  // Order of the outstanding entries — heap and calendar merged — by their
+  // (not yet wrapped) 32-bit seqs; reassigning ranks in that order
+  // preserves every pairwise comparison within and across the two
+  // containers, so both stay valid and replay is unaffected.
+  // Each pointer is an order word: (seq << 32) | container index.
+  std::vector<std::uint64_t*> order;
+  order.reserve(heap_size_);
+  for (std::size_t l = 0; l < heap_size_; ++l) order.push_back(&at(l).lo);
+  if (calendar_ != nullptr) calendar_->collect_orders(order);
+  std::sort(order.begin(), order.end(), [](const std::uint64_t* a, const std::uint64_t* b) {
+    return (*a >> 32) < (*b >> 32);
   });
   std::uint64_t rank = 0;
-  for (const std::uint32_t i : order) {
-    HeapEntry& e = at(i);
-    e.lo = (rank++ << 32) | (e.lo & 0xFFFFFFFFULL);
+  for (std::uint64_t* word : order) {
+    *word = (rank++ << 32) | (*word & 0xFFFFFFFFULL);
   }
   next_seq_ = rank;
+  if (calendar_ != nullptr) calendar_->refresh_tree();
 }
 
 EventId EventQueue::schedule(TimePoint when, EventCallback callback) {
@@ -205,9 +197,7 @@ EventId EventQueue::schedule(TimePoint when, EventCallback callback) {
   }
   const std::uint32_t generation = ++tags_[idx];  // even (free) -> odd (pending)
   callbacks_[idx].callback = std::move(callback);
-  if (next_seq_ > 0xFFFFFFFFULL) renumber_seqs();
-  heap_push(HeapEntry{time_to_bits(when.to_seconds()),
-                      ((next_seq_++ & 0xFFFFFFFFULL) << 32) | idx});
+  heap_push(EventKey::make(when, draw_seq(), idx));
   ++live_count_;
   ++stat_scheduled_;
   return encode(idx, generation);
@@ -232,10 +222,10 @@ void EventQueue::compact_heap() {
   std::size_t out = 0;
   for (std::size_t l = 0; l < heap_size_; ++l) {
     const HeapEntry e = at(l);
-    if ((tags_[e.slot()] & 1U) != 0) {
+    if ((tags_[e.index()] & 1U) != 0) {
       at(out++) = e;
     } else {
-      free_slots_.push_back(e.slot());
+      free_slots_.push_back(e.index());
     }
   }
   for (std::size_t l = out; l < heap_size_; ++l) at(l) = kSentinel;
@@ -259,7 +249,7 @@ bool EventQueue::pending(EventId id) const noexcept {
 
 void EventQueue::skip_dead() const {
   while (heap_size_ > 0) {
-    const std::uint32_t idx = at(0).slot();
+    const std::uint32_t idx = at(0).index();
     if ((tags_[idx] & 1U) != 0) return;  // live root
     free_slots_.push_back(idx);
     heap_pop_root();
@@ -269,7 +259,7 @@ void EventQueue::skip_dead() const {
 std::optional<TimePoint> EventQueue::next_time() const {
   skip_dead();
   if (heap_size_ == 0) return std::nullopt;
-  return TimePoint::at(Duration::seconds(bits_to_time(at(0).hi)));
+  return at(0).time();
 }
 
 std::optional<FiredEvent> EventQueue::pop() {
@@ -278,14 +268,14 @@ std::optional<FiredEvent> EventQueue::pop() {
   const HeapEntry top = at(0);
   heap_pop_root();
 
-  const std::uint32_t slot = top.slot();
+  const std::uint32_t slot = top.index();
   const std::uint32_t generation = tags_[slot];
   ++tags_[slot];  // odd (pending) -> even (fired)
   // Construct in the returned optional directly: the callback moves once,
   // slab -> result.
   std::optional<FiredEvent> fired;
   fired.emplace(encode(slot, generation),
-                TimePoint::at(Duration::seconds(bits_to_time(top.hi))),
+                top.time(),
                 std::move(callbacks_[slot].callback));
   free_slots_.push_back(slot);
   --live_count_;
@@ -295,7 +285,7 @@ std::optional<FiredEvent> EventQueue::pop() {
 
 void EventQueue::clear() {
   for (std::size_t l = 0; l < heap_size_; ++l) {
-    const std::uint32_t idx = at(l).slot();
+    const std::uint32_t idx = at(l).index();
     if ((tags_[idx] & 1U) != 0) {
       ++tags_[idx];
       callbacks_[idx].callback.reset();

@@ -6,9 +6,10 @@
 /// Requirements that shaped the design:
 ///  * deterministic total order: ties in time are broken by insertion
 ///    sequence so that a seeded simulation replays identically,
-///  * O(log n) schedule/pop and O(1) cancel — resilience runtimes cancel
-///    their pending phase-completion event on every failure, so cancel is on
-///    the hot path,
+///  * O(log n) schedule/pop and O(1) cancel — the PFS device reschedules
+///    its completion event on every admission change, and the workload
+///    engine cancels a deadline event per finished job, so cancel is on a
+///    hot path,
 ///  * no per-event allocation: a full figure reproduction executes tens of
 ///    millions of events, so the container must not malloc per schedule.
 ///
@@ -31,7 +32,17 @@
 /// callback in O(1); the heap entry stays behind and is discarded when it
 /// surfaces at the root. The slot is only recycled at that point, so every
 /// heap entry's slot index stays valid for the entry's whole lifetime.
+///
+/// Shared insertion order: a queue may be paired with a PhaseCalendar
+/// (sim/phase_calendar.hpp), the closure-free side table that holds
+/// application phase boundaries. Both draw their tie-breaking seqs from
+/// this queue's one insertion counter (draw_seq()), so a calendar entry and
+/// a queued event that fall on the same instant still fire in insertion
+/// order. Seqs are stored as 32 bits; renumber_seqs() renormalizes the
+/// queue's and the paired calendar's outstanding entries together, in one
+/// pass, before the counter can wrap.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -42,6 +53,8 @@
 #include "util/units.hpp"
 
 namespace xres {
+
+class PhaseCalendar;
 
 /// Handle identifying a scheduled event; unique within one queue's lifetime.
 /// Never zero for a real event, so a value-initialized EventId is a safe
@@ -62,6 +75,53 @@ namespace xres {
 /// Action executed when an event fires.
 using EventCallback = SmallCallback;
 
+/// Sort key of one pending entry — of the event heap or of the phase
+/// calendar — packed for branchless comparison: `hi` is the event time's
+/// IEEE-754 bits mapped to preserve order as unsigned integers, `lo` is
+/// (seq << 32) | container index. Comparing (hi, lo) lexicographically is
+/// exactly the deterministic (time, seq) order: the index never decides
+/// because seqs are unique across the queue and its calendar.
+struct EventKey {
+  std::uint64_t hi;
+  std::uint64_t lo;
+
+  [[nodiscard]] std::uint32_t index() const {
+    return static_cast<std::uint32_t>(lo & 0xFFFFFFFFULL);
+  }
+
+  /// Order-preserving map from double to uint64: flips negative values so
+  /// unsigned comparison of the results matches double comparison.
+  /// (-0.0 is normalized to +0.0 first so the two zeros stay tied.)
+  static std::uint64_t time_to_bits(double t) noexcept {
+    const auto bits = std::bit_cast<std::uint64_t>(t + 0.0);
+    return (bits & (1ULL << 63)) != 0 ? ~bits : bits | (1ULL << 63);
+  }
+  static double bits_to_time(std::uint64_t bits) noexcept {
+    return std::bit_cast<double>((bits & (1ULL << 63)) != 0 ? bits & ~(1ULL << 63) : ~bits);
+  }
+
+  [[nodiscard]] static EventKey make(TimePoint when, std::uint32_t seq,
+                                     std::uint32_t index) noexcept {
+    return EventKey{time_to_bits(when.to_seconds()),
+                    (static_cast<std::uint64_t>(seq) << 32) | index};
+  }
+  [[nodiscard]] TimePoint time() const {
+    return TimePoint::at(Duration::seconds(bits_to_time(hi)));
+  }
+};
+
+/// Key larger than any real entry's (no finite time maps to all-ones, and
+/// an index never fills 32 bits): the "nothing pending" value.
+inline constexpr EventKey kNoEventKey{~0ULL, ~0ULL};
+
+/// Strictly-less in the deterministic event order. Bitwise (not
+/// short-circuit) combination: the whole predicate compiles to compares
+/// and set/cmov instructions with no data-dependent branch, which matters
+/// because random keys would mispredict ~50% of the time in sift loops.
+inline bool earlier(const EventKey& a, const EventKey& b) {
+  return bool(a.hi < b.hi) | (bool(a.hi == b.hi) & bool(a.lo < b.lo));
+}
+
 /// An event popped from the queue, ready to execute.
 struct FiredEvent {
   EventId id{};
@@ -71,7 +131,9 @@ struct FiredEvent {
 
 class EventQueue {
  public:
-  EventQueue();
+  /// \p calendar (may be null) shares this queue's insertion counter; see
+  /// the file comment. It must outlive the queue.
+  explicit EventQueue(PhaseCalendar* calendar = nullptr);
   /// Flushes this queue's lifetime tallies (schedules/pops/cancels/
   /// compactions) into the process-global perf counters (obs/perf.hpp).
   ~EventQueue();
@@ -98,6 +160,23 @@ class EventQueue {
   /// queue has no live events.
   std::optional<FiredEvent> pop();
 
+  /// Key of the earliest pending event, kNoEventKey when there is none.
+  [[nodiscard]] EventKey top_key() const {
+    if (live_count_ == 0) return kNoEventKey;
+    skip_dead();
+    return at(0);
+  }
+
+  /// Draw the next insertion seq — exactly what schedule() consumes. The
+  /// paired calendar publishes with these.
+  std::uint32_t draw_seq() {
+    if (next_seq_ > 0xFFFFFFFFULL) renumber_seqs();
+    return static_cast<std::uint32_t>(next_seq_++);
+  }
+
+  /// Events popped so far (the lifetime tally the destructor flushes).
+  [[nodiscard]] std::uint64_t popped() const { return stat_popped_; }
+
   /// Number of live (non-cancelled) pending events.
   [[nodiscard]] std::size_t size() const { return live_count_; }
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
@@ -119,39 +198,21 @@ class EventQueue {
   static constexpr std::uint64_t kIndexMask = (1ULL << kIndexBits) - 1;
   static constexpr std::uint64_t kGenMask = (1ULL << kGenBits) - 1;
 
+  /// Test-only access to the insertion counter (tests/sim_test.cpp presets
+  /// it just below the 32-bit wrap).
+  friend class SeqCounterTestPeer;
+
   /// One implicit-heap entry — 16 bytes so a node's four children share one
   /// cache line. The sort key (time, then insertion seq) lives here, not in
-  /// the slot, so sift operations never chase the slab, and it is packed
-  /// for branchless comparison: `hi` is the event time's IEEE-754 bits
-  /// mapped to preserve order as unsigned integers, `lo` is
-  /// (seq << 32) | slot. Comparing (hi, lo) lexicographically is exactly
-  /// the deterministic (time, seq) order — slot never decides because seq
-  /// is unique. `seq` holds the low 32 bits of the queue's insertion
-  /// counter; renumber_seqs() renormalizes all outstanding entries before
-  /// the counter can wrap, so the order is exact for any number of
-  /// schedules.
-  struct HeapEntry {
-    std::uint64_t hi;
-    std::uint64_t lo;
+  /// the slot, so sift operations never chase the slab; its index half is
+  /// the callback slot. `seq` holds the low 32 bits of the queue's
+  /// insertion counter; renumber_seqs() renormalizes all outstanding
+  /// entries before the counter can wrap, so the order is exact for any
+  /// number of schedules.
+  using HeapEntry = EventKey;
 
-    [[nodiscard]] std::uint32_t slot() const {
-      return static_cast<std::uint32_t>(lo & 0xFFFFFFFFULL);
-    }
-    [[nodiscard]] std::uint32_t seq() const {
-      return static_cast<std::uint32_t>(lo >> 32);
-    }
-  };
-
-  /// Order-preserving map from double to uint64: flips negative values so
-  /// unsigned comparison of the results matches double comparison.
-  /// (-0.0 is normalized to +0.0 first so the two zeros stay tied.)
-  static std::uint64_t time_to_bits(double t) noexcept;
-  static double bits_to_time(std::uint64_t bits) noexcept;
-
-  /// Key larger than any real entry's (no finite time maps to all-ones, and
-  /// a slot index never fills 32 bits). Fills every cell at or past the
-  /// logical heap size; see sift_down().
-  static constexpr HeapEntry kSentinel{~0ULL, ~0ULL};
+  /// Fills every cell at or past the logical heap size; see sift_down().
+  static constexpr HeapEntry kSentinel = kNoEventKey;
 
   /// The callback slab cell, padded to a cache line so neighbouring events
   /// never share one.
@@ -169,15 +230,6 @@ class EventQueue {
   /// was minted by a different queue.
   bool decode(EventId id, std::uint32_t& slot, std::uint32_t& generation) const noexcept;
 
-  /// Strictly-less in the deterministic event order. Bitwise (not
-  /// short-circuit) combination: the whole predicate compiles to compares
-  /// and set/cmov instructions with no data-dependent branch, which
-  /// matters because random keys would mispredict ~50% of the time in the
-  /// sift loops.
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
-    return bool(a.hi < b.hi) | (bool(a.hi == b.hi) & bool(a.lo < b.lo));
-  }
-
   // ---- implicit 4-ary heap over a 64-byte-aligned buffer ----
   //
   // Logical index l (0 = root, children 4l+1..4l+4) maps to physical index
@@ -194,9 +246,10 @@ class EventQueue {
   void sift_up(std::size_t logical);
   void sift_down(std::size_t logical) const;
 
-  /// Reassign the outstanding entries' 32-bit seqs to 0..n-1 in their
-  /// current order and reset the counter. Runs once every 2^32 schedules,
-  /// so its O(n log n) cost amortizes to nothing.
+  /// Reassign the outstanding entries' 32-bit seqs — the heap's and the
+  /// paired calendar's, merged — to 0..n-1 in their current order and
+  /// reset the counter. Runs once every 2^32 draws, so its O(n log n) cost
+  /// amortizes to nothing.
   void renumber_seqs();
 
   /// Discard dead root entries, recycling their slots. After this the root
@@ -231,6 +284,7 @@ class EventQueue {
   std::size_t live_count_{0};
   std::uint64_t next_seq_{0};
   std::uint64_t salt_;  ///< per-queue id tag; see decode()
+  PhaseCalendar* calendar_;  ///< shares next_seq_; may be null
 
   // Lifetime telemetry: plain members bumped on the hot paths (one integer
   // add each, no atomics, no branches) and flushed once by the destructor.

@@ -6,12 +6,20 @@
 
 namespace xres {
 
-Simulation::~Simulation() { obs::perf_add_watchdog_polls(watchdog_polls_); }
+Simulation::~Simulation() {
+  // Every executed event was either a heap pop or a calendar dispatch.
+  obs::perf_add_simulation(watchdog_polls_, events_processed_ - queue_.popped());
+}
 
 EventId Simulation::schedule_at(TimePoint when, EventCallback callback) {
   XRES_CHECK(when >= now_, "cannot schedule an event in the past (t=" +
                                to_string(when) + " < now=" + to_string(now_) + ")");
   return queue_.schedule(when, std::move(callback));
+}
+
+void Simulation::reject_delay(Duration delay) {
+  XRES_CHECK(false, "negative scheduling delay: " + to_string(delay));
+  __builtin_unreachable();
 }
 
 EventId Simulation::schedule_after(Duration delay, EventCallback callback) {
@@ -20,6 +28,11 @@ EventId Simulation::schedule_after(Duration delay, EventCallback callback) {
 }
 
 bool Simulation::step() {
+  const EventKey front = calendar_.top();
+  if (earlier(front, queue_.top_key())) {
+    fire_slot(CalendarSlot{front.index()});
+    return true;
+  }
   auto fired = queue_.pop();
   if (!fired.has_value()) return false;
   XRES_CHECK(fired->time >= now_, "event queue produced a past event");
@@ -50,8 +63,10 @@ void Simulation::run_until(TimePoint until) {
   XRES_CHECK(until >= now_, "run_until target is in the past");
   stop_requested_ = false;
   while (!stop_requested_) {
-    const auto next = queue_.next_time();
-    if (!next.has_value() || *next > until) break;
+    const EventKey calendar_front = calendar_.top();
+    const EventKey queue_front = queue_.top_key();
+    const EventKey& next = earlier(calendar_front, queue_front) ? calendar_front : queue_front;
+    if (next.hi == kNoEventKey.hi || next.time() > until) break;
     step();
   }
   if (!stop_requested_ && now_ < until) now_ = until;

@@ -240,7 +240,9 @@ RunComparison compare_runs(const obs::RunRecord& a, const obs::RunRecord& b,
     drift("status: " + std::to_string(a.status) + " vs " + std::to_string(b.status));
   }
   // Counter totals are part of the determinism contract; --threads is not
-  // (the whole point is that thread count never changes them).
+  // (the whole point is that thread count never changes them). A counter
+  // only one record carries comes from a build that predates (or dropped)
+  // it: a schema difference, reported but not drift.
   const auto counters_a = counter_map(a);
   const auto counters_b = counter_map(b);
   std::map<std::string, bool> names;
@@ -249,8 +251,14 @@ RunComparison compare_runs(const obs::RunRecord& a, const obs::RunRecord& b,
   for (const auto& [name, present] : names) {
     const auto it_a = counters_a.find(name);
     const auto it_b = counters_b.find(name);
-    const std::uint64_t va = it_a == counters_a.end() ? 0 : it_a->second;
-    const std::uint64_t vb = it_b == counters_b.end() ? 0 : it_b->second;
+    if (it_a == counters_a.end() || it_b == counters_b.end()) {
+      out.warnings.push_back("counter " + name + " recorded by only one run (" +
+                             (it_a == counters_a.end() ? a.id : b.id) +
+                             " predates it); not compared");
+      continue;
+    }
+    const std::uint64_t va = it_a->second;
+    const std::uint64_t vb = it_b->second;
     if (va != vb) {
       result_drift("counter " + name + ": " + std::to_string(va) + " vs " +
             std::to_string(vb));

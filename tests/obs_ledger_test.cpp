@@ -220,6 +220,16 @@ TEST(ObsLedger, CompareRunsDriftAndWarnings) {
   // Different seeds are different experiments, also drift.
   b = sample_record("run-b", 8);
   EXPECT_FALSE(study::compare_runs(a, b, 0.25).identical());
+
+  // A counter only one record carries (a record written before the counter
+  // existed) is a schema difference: warned about, never drift.
+  b = sample_record("run-b", 7);
+  b.counters.emplace_back("events_direct", 42);
+  const study::RunComparison newer = study::compare_runs(a, b, 0.25);
+  EXPECT_TRUE(newer.identical());
+  ASSERT_FALSE(newer.warnings.empty());
+  EXPECT_NE(newer.warnings.back().find("events_direct"), std::string::npos);
+  EXPECT_TRUE(study::compare_runs(b, a, 0.25).identical());
 }
 
 TEST(ObsLedger, CompareRunsPlatformDigestWarnsNotFails) {

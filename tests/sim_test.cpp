@@ -224,5 +224,115 @@ TEST(Simulation, DeterministicTieOrderWithCancellation) {
   EXPECT_EQ(log, "ac");
 }
 
+/// Calendar client that logs "<name>" for each firing of tag i.
+class RecordingClient final : public CalendarClient {
+ public:
+  RecordingClient(std::vector<std::string>& log, std::vector<std::string> names)
+      : log_{log}, names_{std::move(names)} {}
+  void on_calendar(std::uint32_t tag) override { log_.push_back(names_.at(tag)); }
+
+ private:
+  std::vector<std::string>& log_;
+  std::vector<std::string> names_;
+};
+
+TEST(PhaseCalendar, SlotsInterleaveWithQueuedEventsByInsertionOrder) {
+  Simulation sim;
+  std::vector<std::string> log;
+  RecordingClient client{log, {"s0", "s1"}};
+  const CalendarSlot s0 = sim.open_slot(client, 0);
+  const CalendarSlot s1 = sim.open_slot(client, 1);
+  sim.schedule_after(Duration::seconds(5), [&] { log.push_back("q0"); });
+  sim.publish_after(s0, Duration::seconds(5));
+  sim.schedule_after(Duration::seconds(5), [&] { log.push_back("q1"); });
+  sim.publish_after(s1, Duration::seconds(2));
+  EXPECT_TRUE(sim.published(s0));
+  EXPECT_EQ(sim.pending_events(), 4U);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"s1", "q0", "s0", "q1"}));
+  EXPECT_EQ(sim.events_processed(), 4U);
+  EXPECT_EQ(sim.now(), TimePoint::at(Duration::seconds(5)));
+  EXPECT_FALSE(sim.published(s0));
+  sim.close_slot(s0);
+  sim.close_slot(s1);
+}
+
+TEST(PhaseCalendar, RetractAndRepublish) {
+  Simulation sim;
+  std::vector<std::string> log;
+  RecordingClient client{log, {"a", "b"}};
+  const CalendarSlot a = sim.open_slot(client, 0);
+  const CalendarSlot b = sim.open_slot(client, 1);
+  sim.publish_after(a, Duration::seconds(1));
+  sim.publish_after(b, Duration::seconds(3));
+  EXPECT_TRUE(sim.retract(a));
+  EXPECT_FALSE(sim.retract(a));
+  EXPECT_THROW(sim.publish_after(b, Duration::seconds(1)), CheckError);
+  sim.publish_after(a, Duration::seconds(4));
+  EXPECT_THROW(sim.publish_after(a, Duration::seconds(-1)), CheckError);
+  sim.run_until(TimePoint::at(Duration::seconds(3)));
+  EXPECT_EQ(log, (std::vector<std::string>{"b"}));
+  EXPECT_EQ(sim.pending_events(), 1U);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"b", "a"}));
+  // A closed slot's index is reused; the reopened slot starts unpublished.
+  sim.close_slot(a);
+  const CalendarSlot c = sim.open_slot(client, 0);
+  EXPECT_FALSE(sim.published(c));
+  sim.close_slot(b);
+  sim.close_slot(c);
+}
+
+}  // namespace
+
+/// Reaches the shared insertion counter (EventQueue::next_seq_ inside a
+/// Simulation) so a test can start just below the 32-bit seq wrap.
+class SeqCounterTestPeer {
+ public:
+  static void preset(Simulation& sim, std::uint64_t next_seq) {
+    sim.queue_.next_seq_ = next_seq;
+  }
+  static std::uint64_t next_seq(const Simulation& sim) { return sim.queue_.next_seq_; }
+};
+
+namespace {
+
+TEST(PhaseCalendar, OrderStaysExactAcrossTheSeqWrap) {
+  Simulation sim;
+  std::vector<std::string> log;
+  RecordingClient client{log, {"s0", "s1", "s2", "s3"}};
+  std::vector<CalendarSlot> slots;
+  for (std::uint32_t tag = 0; tag < 4; ++tag) slots.push_back(sim.open_slot(client, tag));
+  const auto queued = [&](const char* name) { return [&log, name] { log.push_back(name); }; };
+  const Duration t10 = Duration::seconds(10);
+  const Duration t5 = Duration::seconds(5);
+
+  // The last three seqs before the wrap: a queue event, a calendar slot and
+  // a queue event that is then cancelled (its dead heap entry is renumbered
+  // with the live ones), all at t = 10.
+  SeqCounterTestPeer::preset(sim, 0xFFFFFFFFULL - 2);
+  sim.schedule_after(t10, queued("q0"));
+  sim.publish_after(slots[0], t10);
+  const EventId dead = sim.schedule_after(t10, queued("dead"));
+  ASSERT_TRUE(sim.cancel(dead));
+  // The next draw wraps: the queue first renumbers q0, s0 and the dead
+  // entry together. s3 is retracted again (republished below).
+  sim.publish_after(slots[3], t5);
+  EXPECT_TRUE(sim.retract(slots[3]));
+
+  // Post-wrap seqs must still order after the renumbered pre-wrap ones on
+  // the t = 10 tie, in both containers.
+  sim.publish_after(slots[1], t10);
+  EXPECT_LT(SeqCounterTestPeer::next_seq(sim), 0xFFFFFFFFULL - 2);
+  sim.schedule_after(t10, queued("q1"));
+  sim.publish_after(slots[2], t5);
+  sim.schedule_after(t5, queued("q2"));
+  sim.publish_after(slots[3], t10);
+
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"s2", "q2", "q0", "s0", "s1", "q1", "s3"}));
+  for (const CalendarSlot slot : slots) sim.close_slot(slot);
+}
+
 }  // namespace
 }  // namespace xres

@@ -174,6 +174,31 @@ topology_check() {
   "$BUILD"/tools/xres "${args[@]}" --threads 4 > "$dir/r4.txt"
   cmp "$dir/r1.txt" "$dir/r4.txt"
 
+  # Cross-commit goldens (tests/data/workload_*): the same two workload
+  # runs must reproduce stdout and --metrics recorded from an earlier
+  # commit, at any --threads. Threads-invariance and repeat checks cannot
+  # see an engine change that reorders events consistently; this can. A
+  # deliberate model change regenerates the goldens and says so.
+  local gold_filter=(grep -v -e '^perf: ' -e '^metrics written to '
+    -e '^run recorded in ledger ')
+  local golden_sel=(workload --patterns 2 --seed 11 --technique selection
+    --scheduler Random --no-ledger)
+  local golden_ft=(workload --patterns 2 --seed 11 --platform.model fattree
+    --platform.pfs.channels 4 --technique checkpoint-restart --no-ledger)
+  local threads
+  for threads in 1 4; do
+    "$BUILD"/tools/xres "${golden_sel[@]}" --threads "$threads" \
+      --metrics "$dir/gold-sel-$threads.json" 2> /dev/null \
+      | "${gold_filter[@]}" > "$dir/gold-sel-$threads.txt"
+    cmp tests/data/workload_selection_random.txt "$dir/gold-sel-$threads.txt"
+    cmp tests/data/workload_selection_random.metrics.json "$dir/gold-sel-$threads.json"
+    "$BUILD"/tools/xres "${golden_ft[@]}" --threads "$threads" \
+      --metrics "$dir/gold-ft-$threads.json" 2> /dev/null \
+      | "${gold_filter[@]}" > "$dir/gold-ft-$threads.txt"
+    cmp tests/data/workload_fattree_cr4.txt "$dir/gold-ft-$threads.txt"
+    cmp tests/data/workload_fattree_cr4.metrics.json "$dir/gold-ft-$threads.json"
+  done
+
   # The flat default is the pre-topology model: spelling it out must not
   # perturb a single byte.
   "$BUILD"/tools/xres workload --patterns 2 --seed 11 > "$dir/flat-default.txt"
@@ -237,7 +262,8 @@ topology_check() {
   "${filter[@]}" "$dir/resumed.txt" > "$dir/resumed-clean.txt"
   cmp "$dir/r4-clean.txt" "$dir/resumed-clean.txt"
   echo "topology: OK (fattree threads 1 vs 4 + flat default + resume byte-identical;" \
-    "contended flat PFS repeat + resume byte-identical, fattree rejected)"
+    "workload goldens matched; contended flat PFS repeat + resume byte-identical," \
+    "fattree rejected)"
 }
 topology_check
 stage_done topology
