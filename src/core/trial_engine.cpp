@@ -176,47 +176,44 @@ class CalendarFailureStream final : private CalendarClient {
   CalendarSlot slot_;
 };
 
-/// Simulation::run for a planned trial: every pending entry is one of the
-/// runtime's two calendar slots or the failure stream's (the event queue
-/// stays empty). Same watchdog cadence, stop check and (time, seq) order as
-/// run(), but the front is found by comparing those three slots' entries
-/// directly, so the calendar's tree is never consulted. The earlier of the
-/// failure and the wall-time cap is the "interrupt"; neither changes while
-/// phase completions dispatch (the failure slot is republished only when it
-/// fires, and the runtime retracts its cap only when the run ends, which
-/// requests the stop), so the steady-state work/checkpoint alternation
-/// re-checks one bound per event — a predictable branch the CPU runs ahead
-/// of, firing the phase slot through a fixed handle and a direct call.
+}  // namespace
+
 void run_direct(Simulation& sim, ResilientAppRuntime& runtime, CalendarSlot failure) {
-  using Entry = PhaseCalendar::Entry;
   const CalendarSlot phase = runtime.phase_slot();
   const CalendarSlot timeout = runtime.timeout_slot();
   std::uint64_t executed = 0;
-  const auto poll = [&] {
-    if ((executed & 0xFFFU) == 0) {
+  // Simulation::run's watchdog cadence: poll before every 4096th event.
+  const auto count_event = [&] {
+    if ((executed++ & 0xFFFU) == 0) {
       sim.count_watchdog_poll();
       deadline_poll();
     }
   };
   while (!sim.stop_requested()) {
+    // The earlier of the failure and the wall-time cap. Neither changes
+    // while phase boundaries fire (the failure slot is republished only
+    // when it fires; the cap is retracted only when the run ends, which
+    // requests the stop), so it bounds a chain; copied afresh every pass
+    // because a seq renumbering rewrites the entries.
     const CalendarSlot interrupt =
         PhaseCalendar::earlier(sim.slot_entry(timeout), sim.slot_entry(failure)) ? timeout
                                                                                  : failure;
-    const Entry bound = sim.slot_entry(interrupt);
-    while (PhaseCalendar::earlier(sim.slot_entry(phase), bound)) {
-      poll();
-      sim.fire_slot(phase, runtime);
-      ++executed;
-      if (sim.stop_requested()) return;
+    const PhaseCalendar::Entry bound = sim.slot_entry(interrupt);
+    if (PhaseCalendar::earlier(sim.slot_entry(phase), bound)) {
+      if (runtime.can_chain()) {
+        executed = runtime.run_chain(bound, executed);
+      } else {
+        count_event();
+        sim.fire_slot(phase, runtime);
+      }
+    } else if (bound.published()) {
+      count_event();
+      sim.fire_slot(interrupt);
+    } else {
+      break;  // nothing pending
     }
-    if (!bound.published()) break;  // nothing pending
-    poll();
-    sim.fire_slot(interrupt);
-    ++executed;
   }
 }
-
-}  // namespace
 
 ExecutionResult run_plan_trial_direct(const ExecutionPlan& plan,
                                       const SeverityModel& severity,

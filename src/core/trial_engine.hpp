@@ -14,13 +14,22 @@
 ///    Simulation::run merges queue and calendar.
 ///  * **direct** — the fast path: the same draws, in the same RNG order,
 ///    published into a calendar slot of their own, so the trial never
-///    touches the event heap, and a loop that is Simulation::run narrowed
-///    to the trial's three calendar slots; plus no per-trial SeverityModel
-///    or plan rebuild (thread-local caches). Every observable (results,
-///    metrics including `sim_events`, traces, RNG draw order, watchdog-poll
-///    timing) is byte-identical to the event path, because every seq is
-///    drawn at the same point and handlers run in the same (time, seq)
-///    order. The differential harness (tests/surrogate_diff_test.cpp) and
+///    touches the event heap, and a loop (run_direct) that is
+///    Simulation::run narrowed to the trial's three calendar slots; plus
+///    no per-trial SeverityModel or plan rebuild (thread-local caches).
+///    Between interrupts the loop hands the Working⇄Checkpointing
+///    alternation to ResilientAppRuntime::run_chain(), which keeps each
+///    next boundary in a local instead of the calendar while it precedes
+///    the next failure and the wall-time cap: per boundary one clock and
+///    event credit, the handler arithmetic the calendar path runs, and one
+///    seq draw. Trials that record a trace or timeline keep the per-phase
+///    path; metrics-observed trials chain. Every observable (results,
+///    metrics including `sim_events`, traces, RNG draw order, seq draws,
+///    executed-event and watchdog-poll counts) is byte-identical to the
+///    event path, because every seq is drawn at the same point and
+///    handlers run in the same (time, seq) order. The differential harness
+///    (tests/surrogate_diff_test.cpp, observed and unobserved), the
+///    chained-vs-calendar runtime tests (tests/runtime_test.cpp) and
 ///    tier-1's determinism stage enforce that equivalence.
 ///
 /// Trace-replay trials have a fixed, pre-ordered failure list and run one
@@ -36,8 +45,12 @@
 #include "failure/severity.hpp"
 #include "resilience/plan.hpp"
 #include "runtime/result.hpp"
+#include "sim/phase_calendar.hpp"
 
 namespace xres {
+
+class ResilientAppRuntime;
+class Simulation;
 
 enum class TrialEngine { kEvent, kDirect };
 
@@ -67,6 +80,16 @@ class ScopedTrialEngine {
                                                     const FailureDistribution& dist,
                                                     std::uint64_t seed,
                                                     obs::TrialObs* obs);
+
+/// The direct engine's dispatch loop: Simulation::run narrowed to a trial
+/// whose every pending entry is one of \p runtime's two calendar slots or
+/// \p failure (the event queue stays empty), with the same watchdog
+/// cadence, stop check and (time, seq) order. The front is found by
+/// comparing those three entries directly; the earlier of the failure and
+/// the wall-time cap bounds a ResilientAppRuntime::run_chain() over the
+/// Working⇄Checkpointing boundaries before it. Returns when the run
+/// requests a stop or nothing is pending.
+void run_direct(Simulation& sim, ResilientAppRuntime& runtime, CalendarSlot failure);
 
 /// Fold one finished trial into its observer: counters/gauges from the
 /// ExecutionResult plus the trial-shape histograms, including the exact

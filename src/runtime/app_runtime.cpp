@@ -7,6 +7,7 @@
 #include "obs/trial_obs.hpp"
 #include "resilience/interval.hpp"
 #include "util/check.hpp"
+#include "util/deadline.hpp"
 #include "util/log.hpp"
 
 namespace xres {
@@ -99,6 +100,11 @@ void ResilientAppRuntime::start() {
     dup_degraded_ = 0;
     singles_ = plan_.app.nodes - duplicated;
   }
+
+  // Trace spans and timeline entries are emitted per phase; a PFS device
+  // completes its phases itself. Either keeps the per-phase path.
+  chainable_ = !timeline_.has_value() && (obs_ == nullptr || obs_->trace() == nullptr) &&
+               pfs_service_ == nullptr;
 
   if (plan_.max_wall_time.is_finite()) {
     sim_.publish_after(timeout_slot_, plan_.max_wall_time);
@@ -209,8 +215,10 @@ void ResilientAppRuntime::accrue(Duration elapsed) {
   }
 }
 
-void ResilientAppRuntime::accrue_known(Duration elapsed, Duration& bucket,
-                                       SpanKind span, double nodes) {
+[[gnu::always_inline]] inline void ResilientAppRuntime::accrue_known(Duration elapsed,
+                                                                     Duration& bucket,
+                                                                     SpanKind span,
+                                                                     double nodes) {
   XRES_CHECK(elapsed >= Duration::zero(), "negative phase time");
   bucket += elapsed;
   result_.node_seconds += nodes * elapsed.to_seconds();
@@ -246,33 +254,47 @@ void ResilientAppRuntime::accrue_trace_span(SpanKind span, Duration elapsed) {
   }
 }
 
-void ResilientAppRuntime::enter_working() {
+// The boundary arithmetic below (and accrue_known) is forced inline so
+// run_chain() compiles to one loop with no calls per boundary; the
+// calendar-dispatched handlers get their own inlined copies of the same
+// code.
+
+[[gnu::always_inline]] inline bool ResilientAppRuntime::begin_working(Duration& length) {
   if (progress_ >= plan_.work_target) {
     complete();
-    return;
+    return false;
   }
   phase_ = Phase::kWorking;
   phase_start_ = sim_.now();
   phase_pfs_ = false;
   const Duration target = std::min(next_checkpoint_at_, plan_.work_target);
-  const Duration length = target - progress_;
+  length = target - progress_;
   XRES_CHECK(length > Duration::zero(), "empty work segment");
   segment_target_ = target;
-  schedule_phase(length, /*shared_pfs=*/false);
+  return true;
 }
 
-void ResilientAppRuntime::on_segment_done() {
+void ResilientAppRuntime::enter_working() {
+  Duration length;
+  if (begin_working(length)) schedule_phase(length, /*shared_pfs=*/false);
+}
+
+[[gnu::always_inline]] inline bool ResilientAppRuntime::finish_segment() {
   accrue_known(sim_.now() - phase_start_, result_.time_working, SpanKind::kWork,
                active_normal_nodes_);
   progress_ = segment_target_;
   if (progress_ >= plan_.work_target) {
     complete();
-  } else {
-    enter_checkpointing();
+    return false;
   }
+  return true;
 }
 
-void ResilientAppRuntime::enter_checkpointing() {
+void ResilientAppRuntime::on_segment_done() {
+  if (finish_segment()) enter_checkpointing();
+}
+
+[[gnu::always_inline]] inline Duration ResilientAppRuntime::begin_checkpointing() {
   phase_ = Phase::kCheckpointing;
   phase_start_ = sim_.now();
   // Semi-blocking checkpoints snapshot the state at phase entry; work done
@@ -285,10 +307,15 @@ void ResilientAppRuntime::enter_checkpointing() {
   const CheckpointLevelSpec& level = plan_.levels[idx];
   phase_level_ = idx;
   phase_pfs_ = level.uses_shared_pfs;
-  schedule_phase(level.save_cost, level.uses_shared_pfs);
+  return level.save_cost;
 }
 
-void ResilientAppRuntime::on_checkpoint_done() {
+void ResilientAppRuntime::enter_checkpointing() {
+  const Duration save_cost = begin_checkpointing();
+  schedule_phase(save_cost, phase_pfs_);
+}
+
+[[gnu::always_inline]] inline void ResilientAppRuntime::finish_checkpoint() {
   const std::size_t level_index = phase_level_;
   const Duration elapsed = sim_.now() - phase_start_;
   accrue_known(elapsed, result_.time_checkpointing, SpanKind::kCheckpoint,
@@ -314,7 +341,47 @@ void ResilientAppRuntime::on_checkpoint_done() {
   dup_degraded_ = 0;
   if (plan_.adaptive_interval) retune_quantum();
   next_checkpoint_at_ = progress_ + quantum_;
+}
+
+void ResilientAppRuntime::on_checkpoint_done() {
+  finish_checkpoint();
   enter_working();
+}
+
+std::uint64_t ResilientAppRuntime::run_chain(PhaseCalendar::Entry bound,
+                                             std::uint64_t executed) {
+  XRES_CHECK(can_chain(), "run_chain outside a chainable Working/Checkpointing phase");
+  PhaseCalendar::Entry next = sim_.slot_entry(phase_slot_);
+  XRES_CHECK(PhaseCalendar::earlier(next, bound), "run_chain with no boundary before its bound");
+  sim_.retract(phase_slot_);
+  for (;;) {
+    // Simulation::run's watchdog cadence, counted in executed events.
+    if ((executed & 0xFFFU) == 0) {
+      sim_.count_watchdog_poll();
+      deadline_poll();
+    }
+    sim_.fire_held(next.time);
+    ++executed;
+    Duration length;
+    if (phase_ == Phase::kWorking) {
+      if (!finish_segment()) return executed;
+      length = begin_checkpointing();
+    } else {
+      finish_checkpoint();
+      if (!begin_working(length)) return executed;
+    }
+    if (sim_.seq_wrap_due()) [[unlikely]] {
+      // This draw renumbers every pending seq, so the copy in \p bound goes
+      // stale: publish as the calendar path does and let the caller re-read.
+      sim_.publish_after(phase_slot_, length);
+      return executed;
+    }
+    next = sim_.draw_entry(phase_slot_, length);
+    if (!PhaseCalendar::earlier(next, bound)) {
+      sim_.publish_entry(phase_slot_, next);
+      return executed;
+    }
+  }
 }
 
 void ResilientAppRuntime::retune_quantum() {

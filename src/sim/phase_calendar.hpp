@@ -82,12 +82,19 @@ class PhaseCalendar {
   /// Retract (if published) and release \p slot for reuse.
   void close(CalendarSlot slot);
 
-  /// Publish \p slot at \p when with insertion seq \p seq. The slot must
+  /// The entry of \p slot published at \p when with insertion seq \p seq.
+  [[nodiscard]] static Entry make_entry(CalendarSlot slot, TimePoint when,
+                                        std::uint32_t seq) {
+    return Entry{when, (static_cast<std::uint64_t>(seq) << 32) |
+                           static_cast<std::uint32_t>(slot)};
+  }
+
+  /// Publish \p entry (made by make_entry() for \p slot). The slot must
   /// not be published already.
-  void publish(CalendarSlot slot, TimePoint when, std::uint32_t seq) {
+  void publish(CalendarSlot slot, const Entry& entry) {
     const auto index = static_cast<std::uint32_t>(slot);
     if (entries_[index].published()) [[unlikely]] reject_republish();
-    set_entry(index, Entry{when, (static_cast<std::uint64_t>(seq) << 32) | index});
+    set_entry(index, entry);
   }
 
   /// Unpublish \p slot. Returns false when it was not published.

@@ -71,8 +71,7 @@ class Simulation {
   /// seq, exactly as schedule_after() would. The slot must not be
   /// published already.
   void publish_after(CalendarSlot slot, Duration delay) {
-    if (!(delay >= Duration::zero())) [[unlikely]] reject_delay(delay);
-    calendar_.publish(slot, now_ + delay, queue_.draw_seq());
+    calendar_.publish(slot, draw_entry(slot, delay));
   }
 
   /// Unpublish \p slot (draws no seq, like cancel()). Returns false when it
@@ -86,7 +85,8 @@ class Simulation {
   /// \p slot's calendar entry (PhaseCalendar::Entry). With fire_slot()
   /// and count_watchdog_poll(), this lets a loop that owns every pending
   /// entry — the direct trial engine, whose queue stays empty — find the
-  /// front among a few known slots itself (PhaseCalendar::earlier).
+  /// front among a few known slots itself (PhaseCalendar::earlier). The
+  /// reference is to live storage: a seq renumbering rewrites it.
   [[nodiscard]] const PhaseCalendar::Entry& slot_entry(CalendarSlot slot) const {
     return calendar_.entry(slot);
   }
@@ -109,6 +109,41 @@ class Simulation {
   /// Credit one watchdog poll (run() polls every 4096 events; a caller
   /// with its own loop calls deadline_poll() itself at the same cadence).
   void count_watchdog_poll() { ++watchdog_polls_; }
+
+  // ---- chained dispatch ----
+  //
+  // A loop that knows one slot's next entry comes before everything else
+  // pending (ResilientAppRuntime::run_chain) may hold that entry itself
+  // instead of publishing it: draw_entry() draws the seq publish_after()
+  // would, fire_held() does what fire_slot() does minus the calendar, and
+  // publish_entry() writes the entry back once the chain stops. The
+  // seq draw points, the clock and the event credits stay exactly those
+  // of publishing every entry.
+
+  /// The entry publish_after(\p slot, \p delay) would store, for the
+  /// caller to hold: draws one seq. A draw for which seq_wrap_due() holds
+  /// first renumbers every pending seq, so a holder must not keep copies of
+  /// pending entries (or a held entry) across it.
+  [[nodiscard]] PhaseCalendar::Entry draw_entry(CalendarSlot slot, Duration delay) {
+    if (!(delay >= Duration::zero())) [[unlikely]] reject_delay(delay);
+    return PhaseCalendar::make_entry(slot, now_ + delay, queue_.draw_seq());
+  }
+
+  /// True when the next seq draw renumbers every pending seq first.
+  [[nodiscard]] bool seq_wrap_due() const { return queue_.seq_wrap_due(); }
+
+  /// Publish \p entry, drawn by draw_entry() for \p slot and never
+  /// published since.
+  void publish_entry(CalendarSlot slot, const PhaseCalendar::Entry& entry) {
+    calendar_.publish(slot, entry);
+  }
+
+  /// Fire a held entry at \p when: advance the clock and credit one
+  /// executed event, as fire_slot() does; the caller runs the handler.
+  void fire_held(TimePoint when) {
+    now_ = when;
+    ++events_processed_;
+  }
 
   // ---- execution ----
 
@@ -145,8 +180,7 @@ class Simulation {
 
   /// fire_slot()'s bookkeeping: clock, event credit, unpublish.
   PhaseCalendar::Fired take_slot(CalendarSlot slot) {
-    now_ = calendar_.entry(slot).time;
-    ++events_processed_;
+    fire_held(calendar_.entry(slot).time);
     return calendar_.fire(slot);
   }
 

@@ -1,30 +1,60 @@
 #include "util/crc32.hpp"
 
 #include <array>
+#include <cstddef>
 
 namespace xres {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kTables[0] is the bytewise table, and
+/// kTables[k][n] is the CRC of byte n followed by k zero bytes, so eight
+/// lookups fold eight input bytes at once. Built at compile time: no
+/// initialization guard on the per-call path.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    t[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      const std::uint32_t prev = t[k - 1][n];
+      t[k][n] = (prev >> 8) ^ t[0][prev & 0xFFU];
+    }
+  }
+  return t;
+}
+
+constexpr Tables kTables = make_tables();
+
+/// Four bytes as a little-endian word (one load on little-endian targets).
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view data, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_table();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t c = seed ^ 0xFFFFFFFFU;
-  for (char ch : data) {
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFU] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = kTables[7][lo & 0xFFU] ^ kTables[6][(lo >> 8) & 0xFFU] ^
+        kTables[5][(lo >> 16) & 0xFFU] ^ kTables[4][lo >> 24] ^ kTables[3][hi & 0xFFU] ^
+        kTables[2][(hi >> 8) & 0xFFU] ^ kTables[1][(hi >> 16) & 0xFFU] ^
+        kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = kTables[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFU;
 }

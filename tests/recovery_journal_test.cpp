@@ -73,6 +73,37 @@ TEST(Crc32, KnownAnswerAndChunking) {
   EXPECT_NE(crc32("123456788"), crc32("123456789"));
 }
 
+/// The textbook one-byte-at-a-time CRC-32, bit by bit: the reference the
+/// table-driven crc32() must reproduce.
+std::uint32_t crc32_bitwise(std::string_view data, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFU;
+  for (const char ch : data) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32, SlicingMatchesBytewiseReferenceAtEveryAlignment) {
+  EXPECT_EQ(crc32_bitwise("123456789", 0), 0xCBF43926U);
+  std::string buffer(1024 + 8, '\0');
+  std::uint32_t x = 0x9E3779B9U;
+  for (char& ch : buffer) {
+    x = x * 1664525U + 1013904223U;
+    ch = static_cast<char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 1024; ++length) {
+      const std::string_view data{buffer.data() + offset, length};
+      ASSERT_EQ(crc32(data), crc32_bitwise(data, 0))
+          << "offset " << offset << " length " << length;
+      const auto seed = static_cast<std::uint32_t>(length * 2654435761U);
+      ASSERT_EQ(crc32(data, seed), crc32_bitwise(data, seed))
+          << "offset " << offset << " length " << length << " seeded";
+    }
+  }
+}
+
 TEST(AtomicFile, WritesAndReplacesWholeFiles) {
   const TempPath tmp{"atomic_test.txt"};
   write_file_atomic(tmp.path, "first");

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/trial_engine.hpp"
 #include "runtime/app_runtime.hpp"
+#include "seq_counter_peer.hpp"
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
 
@@ -346,6 +348,196 @@ TEST(Runtime, InfeasiblePlanRefusesToStart) {
   Harness h;
   auto rt = h.make(std::move(plan));
   EXPECT_THROW(rt->start(), CheckError);
+}
+
+
+// ---- chained vs calendar dispatch ----
+//
+// run_direct() (core/trial_engine.hpp) dispatches the Working⇄Checkpointing
+// boundaries before the next failure or wall-time cap through
+// ResilientAppRuntime::run_chain(), holding each next boundary in a local;
+// Simulation::run() fires every one of them through the calendar. Both
+// must run the same handlers in the same (time, seq) order.
+
+/// A failure source on a calendar slot of its own, as the direct engine's
+/// failure stream is, but scripted: each step fires at an absolute time,
+/// publishes the next step, and then either delivers a severity-1 failure
+/// (recording the phase it lands in) or does nothing else (a tick, which
+/// lets a later step be published after a given boundary was).
+class ScriptedFailures final : public CalendarClient {
+ public:
+  struct Step {
+    double at;
+    bool deliver;
+  };
+
+  ScriptedFailures(Simulation& sim, std::vector<Step> steps)
+      : sim_{sim}, steps_{std::move(steps)}, slot_{sim.open_slot(*this, 0)} {}
+  ~ScriptedFailures() { sim_.close_slot(slot_); }
+  ScriptedFailures(const ScriptedFailures&) = delete;
+  ScriptedFailures& operator=(const ScriptedFailures&) = delete;
+
+  void attach(ResilientAppRuntime& runtime) { runtime_ = &runtime; }
+  void start() { publish_next(); }
+  [[nodiscard]] CalendarSlot slot() const { return slot_; }
+  [[nodiscard]] const std::vector<ResilientAppRuntime::Phase>& hit_phases() const {
+    return hit_phases_;
+  }
+
+  void on_calendar(std::uint32_t) override {
+    const bool deliver = steps_[next_ - 1].deliver;
+    publish_next();
+    if (!deliver) return;
+    hit_phases_.push_back(runtime_->phase());
+    runtime_->on_failure(Failure{sim_.now(), 1});
+  }
+
+ private:
+  void publish_next() {
+    if (next_ == steps_.size()) return;
+    sim_.publish_after(slot_, TimePoint::at(Duration::seconds(steps_[next_++].at)) - sim_.now());
+  }
+
+  Simulation& sim_;
+  std::vector<Step> steps_;
+  CalendarSlot slot_;
+  std::size_t next_{0};
+  ResilientAppRuntime* runtime_{nullptr};
+  std::vector<ResilientAppRuntime::Phase> hit_phases_;
+};
+
+struct DispatchRun {
+  ExecutionResult result;
+  std::uint64_t events{0};
+  std::vector<ResilientAppRuntime::Phase> hit_phases;
+};
+
+/// Run \p plan against \p steps on a fresh Simulation whose shared seq
+/// counter starts at \p first_seq: through run_direct() when \p chained,
+/// through Simulation::run() otherwise. \p publish_first publishes the
+/// first step before the runtime starts (its seq precedes every boundary's).
+DispatchRun run_dispatch(bool chained, const ExecutionPlan& plan,
+                         const std::vector<ScriptedFailures::Step>& steps,
+                         bool publish_first, std::uint64_t first_seq = 0) {
+  Simulation sim;
+  SeqCounterTestPeer::preset(sim, first_seq);
+  DispatchRun run;
+  bool finished = false;
+  ScriptedFailures failures{sim, steps};
+  ResilientAppRuntime rt{sim, plan, 1, [&](const ExecutionResult& r) {
+                           run.result = r;
+                           finished = true;
+                           sim.request_stop();
+                         }};
+  failures.attach(rt);
+  if (publish_first) failures.start();
+  rt.start();
+  if (!publish_first) failures.start();
+  if (chained) {
+    run_direct(sim, rt, failures.slot());
+  } else {
+    sim.run();
+  }
+  EXPECT_TRUE(finished);
+  run.events = sim.events_processed();
+  run.hit_phases = failures.hit_phases();
+  return run;
+}
+
+void expect_same_dispatch(const DispatchRun& a, const DispatchRun& b) {
+  EXPECT_EQ(a.result.completed, b.result.completed);
+  EXPECT_EQ(a.result.wall_time, b.result.wall_time);
+  EXPECT_EQ(a.result.efficiency, b.result.efficiency);
+  EXPECT_EQ(a.result.failures_seen, b.result.failures_seen);
+  EXPECT_EQ(a.result.rollbacks, b.result.rollbacks);
+  EXPECT_EQ(a.result.checkpoints_completed, b.result.checkpoints_completed);
+  EXPECT_EQ(a.result.time_working, b.result.time_working);
+  EXPECT_EQ(a.result.time_checkpointing, b.result.time_checkpointing);
+  EXPECT_EQ(a.result.time_restarting, b.result.time_restarting);
+  EXPECT_EQ(a.result.rework, b.result.rework);
+  EXPECT_EQ(a.result.node_seconds, b.result.node_seconds);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.hit_phases, b.hit_phases);
+}
+
+using Phase = ResilientAppRuntime::Phase;
+
+TEST(RuntimeChain, FailureTiedWithABoundaryAndPublishedFirstFiresFirst) {
+  // Boundaries: work ends at 10, checkpoint at 12, work at 22. The failure
+  // at 22 was published before the runtime started, so its seq is smaller
+  // than the boundary's: the chain run 10 -> 12 must stop at that boundary
+  // and the failure lands in Working.
+  const std::vector<ScriptedFailures::Step> steps{{22.0, true}};
+  const DispatchRun chained = run_dispatch(true, tiny_plan(), steps, true);
+  const DispatchRun calendar = run_dispatch(false, tiny_plan(), steps, true);
+  expect_same_dispatch(chained, calendar);
+  EXPECT_EQ(chained.hit_phases, std::vector<Phase>{Phase::kWorking});
+  EXPECT_EQ(chained.result.rollbacks, 1U);
+  EXPECT_DOUBLE_EQ(chained.result.rework.to_seconds(), 10.0);
+}
+
+TEST(RuntimeChain, FailureTiedWithABoundaryAndPublishedLaterFiresSecond) {
+  // A tick at 15 publishes the failure at 22 after the boundary at 22 was
+  // drawn (at 12): the boundary fires first and the failure interrupts the
+  // checkpoint that boundary started, zero seconds in.
+  const std::vector<ScriptedFailures::Step> steps{{15.0, false}, {22.0, true}};
+  const DispatchRun chained = run_dispatch(true, tiny_plan(), steps, false);
+  const DispatchRun calendar = run_dispatch(false, tiny_plan(), steps, false);
+  expect_same_dispatch(chained, calendar);
+  EXPECT_EQ(chained.hit_phases, std::vector<Phase>{Phase::kCheckpointing});
+}
+
+TEST(RuntimeChain, WallTimeCapTiedWithABoundaryStopsTheChain) {
+  // The cap is published at start(), before the first boundary: at t = 22
+  // it precedes the work boundary there, so the run aborts in Working.
+  ExecutionPlan plan = tiny_plan();
+  plan.max_wall_time = Duration::seconds(22.0);
+  const std::vector<ScriptedFailures::Step> steps{{500.0, true}};
+  const DispatchRun chained = run_dispatch(true, plan, steps, false);
+  const DispatchRun calendar = run_dispatch(false, plan, steps, false);
+  expect_same_dispatch(chained, calendar);
+  EXPECT_FALSE(chained.result.completed);
+  EXPECT_DOUBLE_EQ(chained.result.wall_time.to_seconds(), 22.0);
+  EXPECT_EQ(chained.result.checkpoints_completed, 1U);
+  EXPECT_DOUBLE_EQ(chained.result.time_working.to_seconds(), 20.0);
+}
+
+TEST(RuntimeChain, SeqRenumberingInsideAChainKeepsTheTieOrder) {
+  // The failure at 22 takes seq 2^32 - 3, the first boundary 2^32 - 2 and
+  // the boundary at 12 2^32 - 1. Drawing the boundary at 22 (when 12
+  // fires, inside a chain) renumbers every pending seq: the failure
+  // becomes 0 and the boundary 1. A chain that kept comparing against the
+  // failure's old seq would fire the boundary first; the failure must
+  // still land in Working, exactly as calendar dispatch has it.
+  const std::uint64_t first_seq = 0xFFFFFFFFULL - 2;
+  const std::vector<ScriptedFailures::Step> steps{{22.0, true}, {40.0, true}};
+  const DispatchRun chained = run_dispatch(true, tiny_plan(), steps, true, first_seq);
+  const DispatchRun calendar = run_dispatch(false, tiny_plan(), steps, true, first_seq);
+  expect_same_dispatch(chained, calendar);
+  ASSERT_EQ(chained.hit_phases.size(), 2U);
+  EXPECT_EQ(chained.hit_phases.front(), Phase::kWorking);
+  // Without a wrap the two dispatches agree with the wrapped ones.
+  expect_same_dispatch(chained, run_dispatch(true, tiny_plan(), steps, true));
+}
+
+TEST(RuntimeChain, ChainedAndCalendarDispatchAgreeOnAFailureStorm) {
+  // Failures in every phase, including ties with boundaries on both sides
+  // and a failure during the restart, with the counter crossing the wrap
+  // midway through the run.
+  std::vector<ScriptedFailures::Step> steps;
+  for (const double t : {5.0, 11.0, 22.0, 25.0, 26.0, 47.0, 60.0, 60.0, 83.5, 99.0}) {
+    steps.push_back({t, true});
+  }
+  for (const std::uint64_t first_seq : {std::uint64_t{0}, std::uint64_t{0xFFFFFFFFULL - 20}}) {
+    for (const bool publish_first : {true, false}) {
+      const DispatchRun chained =
+          run_dispatch(true, tiny_plan(), steps, publish_first, first_seq);
+      const DispatchRun calendar =
+          run_dispatch(false, tiny_plan(), steps, publish_first, first_seq);
+      expect_same_dispatch(chained, calendar);
+      EXPECT_EQ(chained.result.failures_seen, steps.size());
+    }
+  }
 }
 
 }  // namespace

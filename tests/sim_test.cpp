@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "seq_counter_peer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
@@ -282,20 +283,6 @@ TEST(PhaseCalendar, RetractAndRepublish) {
   sim.close_slot(b);
   sim.close_slot(c);
 }
-
-}  // namespace
-
-/// Reaches the shared insertion counter (EventQueue::next_seq_ inside a
-/// Simulation) so a test can start just below the 32-bit seq wrap.
-class SeqCounterTestPeer {
- public:
-  static void preset(Simulation& sim, std::uint64_t next_seq) {
-    sim.queue_.next_seq_ = next_seq;
-  }
-  static std::uint64_t next_seq(const Simulation& sim) { return sim.queue_.next_seq_; }
-};
-
-namespace {
 
 TEST(PhaseCalendar, OrderStaysExactAcrossTheSeqWrap) {
   Simulation sim;

@@ -23,6 +23,7 @@
 #include "core/single_app_study.hpp"
 #include "core/surrogate.hpp"
 #include "core/trial_engine.hpp"
+#include "obs/perf.hpp"
 #include "obs/trial_obs.hpp"
 #include "resilience/technique.hpp"
 #include "util/rng.hpp"
@@ -73,22 +74,27 @@ struct BatchRun {
   std::string metrics_text;
 };
 
-/// Run one batch under \p engine at \p threads, with per-trial metrics
-/// merged in spec order (the study reduction).
+/// Run one batch under \p engine at \p threads. When \p observed, with
+/// per-trial metrics merged in spec order (the study reduction); otherwise
+/// with no observers at all (metrics_text stays empty), the shape of every
+/// study run without --metrics.
 BatchRun run_engine_batch(TrialEngine engine, unsigned threads,
                           const SingleAppTrialConfig& config, std::uint64_t seed,
-                          std::uint32_t trials) {
+                          std::uint32_t trials, bool observed = true) {
   const ScopedTrialEngine scoped{engine};
   std::vector<TrialSpec> specs;
   specs.reserve(trials);
   for (std::uint32_t t = 0; t < trials; ++t) {
     specs.push_back(TrialSpec{config, {t}});
   }
-  std::vector<obs::TrialObs> observers(specs.size());
-  for (obs::TrialObs& o : observers) o.enable_metrics();
-
   const TrialExecutor executor{threads};
   BatchRun run;
+  if (!observed) {
+    run.results = executor.run_batch(seed, specs);
+    return run;
+  }
+  std::vector<obs::TrialObs> observers(specs.size());
+  for (obs::TrialObs& o : observers) o.enable_metrics();
   run.results = executor.run_batch(seed, specs, observers);
   obs::MetricSet merged;
   for (const obs::TrialObs& o : observers) merged.merge(*o.metrics());
@@ -108,25 +114,34 @@ SingleAppTrialConfig diff_cell(const std::string& app, TechniqueKind technique,
 }
 
 /// Batched (direct) vs unbatched (event) engines across worker counts:
-/// the differential core of the harness. The event engine at 1 thread is
-/// the reference; every other (engine × threads) combination must
-/// reproduce it exactly, metrics included.
+/// the differential core of the harness. The event engine at 1 thread,
+/// with metrics, is the reference; every other (engine × threads)
+/// combination must reproduce it exactly, metrics included, and the
+/// direct engine must reproduce its results without observers too.
 void expect_engine_invariant(const SingleAppTrialConfig& config,
                              const std::string& label, std::uint64_t seed,
                              std::uint32_t trials) {
   const BatchRun reference = run_engine_batch(TrialEngine::kEvent, 1, config, seed, trials);
   ASSERT_EQ(reference.results.size(), trials) << label;
+  const auto expect_results = [&](const BatchRun& run, const std::string& tag) {
+    ASSERT_EQ(run.results.size(), reference.results.size()) << tag;
+    for (std::size_t i = 0; i < run.results.size(); ++i) {
+      expect_identical(reference.results[i], run.results[i],
+                       tag + "/trial" + std::to_string(i));
+    }
+  };
   for (const TrialEngine engine : {TrialEngine::kEvent, TrialEngine::kDirect}) {
     for (const unsigned threads : {1U, 4U}) {
-      if (engine == TrialEngine::kEvent && threads == 1) continue;
-      const BatchRun run = run_engine_batch(engine, threads, config, seed, trials);
       const std::string tag = label + "/" + (engine == TrialEngine::kEvent ? "event" : "direct") +
                               "/t" + std::to_string(threads);
-      ASSERT_EQ(run.results.size(), reference.results.size()) << tag;
-      for (std::size_t i = 0; i < run.results.size(); ++i) {
-        expect_identical(reference.results[i], run.results[i],
-                         tag + "/trial" + std::to_string(i));
+      if (engine == TrialEngine::kDirect) {
+        expect_results(run_engine_batch(engine, threads, config, seed, trials,
+                                        /*observed=*/false),
+                       tag + "/unobserved");
       }
+      if (engine == TrialEngine::kEvent && threads == 1) continue;
+      const BatchRun run = run_engine_batch(engine, threads, config, seed, trials);
+      expect_results(run, tag);
       // Queue-shape counters legitimately differ between engines; the
       // study-facing metrics (sim_events, outcome counters, phase gauges)
       // must not. MetricSet::to_table covers exactly those.
@@ -141,6 +156,36 @@ TEST(SurrogateDiff, EnginesAgreeFast) {
   expect_engine_invariant(
       diff_cell("A32", TechniqueKind::kParallelRecovery, 10.0, 1200),
       "A32/pr", 7, tsan_build() ? 4 : 12);
+}
+
+/// The engine-level perf counters a run reports (perf.json, the ledger's
+/// events_per_s) count every executed event and every watchdog poll, so
+/// the same batch must read the same on both engines, whether the direct
+/// engine dispatched a boundary through the calendar or inside a chain.
+TEST(SurrogateDiff, EnginesExecuteAndPollAlike) {
+  // A 100-hour baseline: several thousand events, so several watchdog
+  // polls, per trial.
+  SingleAppTrialConfig config = diff_cell("C64", TechniqueKind::kMultilevel, 1.0, 30000);
+  config.app = AppSpec::from_baseline(config.app.type, 30000, Duration::hours(100.0));
+  const std::uint32_t trials = tsan_build() ? 4 : 12;
+  for (const bool observed : {false, true}) {
+    const auto counters = [&](TrialEngine engine) {
+      const obs::PerfCounters before = obs::perf_snapshot();
+      const BatchRun run = run_engine_batch(engine, 2, config, 20260808, trials, observed);
+      EXPECT_EQ(run.results.size(), trials);
+      return obs::perf_delta(before);
+    };
+    const obs::PerfCounters event = counters(TrialEngine::kEvent);
+    const obs::PerfCounters direct = counters(TrialEngine::kDirect);
+    const std::string tag = observed ? "observed" : "unobserved";
+    // More than one watchdog poll per trial: the cadence itself is compared.
+    EXPECT_GT(event.events_executed(), 4096U * trials) << tag;
+    EXPECT_GT(event.watchdog_polls, trials) << tag;
+    EXPECT_EQ(event.events_executed(), direct.events_executed()) << tag;
+    EXPECT_EQ(event.watchdog_polls, direct.watchdog_polls) << tag;
+    // The direct engine never touches the event heap.
+    EXPECT_EQ(direct.events_popped, 0U) << tag;
+  }
 }
 
 TEST(SurrogateDiff, EnginesAgreeFullMatrix) {
