@@ -190,15 +190,16 @@ void run_direct(Simulation& sim, ResilientAppRuntime& runtime, CalendarSlot fail
     }
   };
   while (!sim.stop_requested()) {
-    // The earlier of the failure and the wall-time cap. Neither changes
-    // while phase boundaries fire (the failure slot is republished only
-    // when it fires; the cap is retracted only when the run ends, which
-    // requests the stop), so it bounds a chain; copied afresh every pass
-    // because a seq renumbering rewrites the entries.
+    // The earlier of the failure and the wall-time cap. Neither slot
+    // changes while phase boundaries fire (the failure slot is republished
+    // only when it fires; the cap is retracted only when the run ends,
+    // which requests the stop), so it bounds a chain. A seq renumbering
+    // rewrites both entries in place and keeps their order, so the same
+    // slot stays the interrupt and \c bound stays current.
     const CalendarSlot interrupt =
         PhaseCalendar::earlier(sim.slot_entry(timeout), sim.slot_entry(failure)) ? timeout
                                                                                  : failure;
-    const PhaseCalendar::Entry bound = sim.slot_entry(interrupt);
+    const PhaseCalendar::Entry& bound = sim.slot_entry(interrupt);
     if (PhaseCalendar::earlier(sim.slot_entry(phase), bound)) {
       if (runtime.can_chain()) {
         executed = runtime.run_chain(bound, executed);

@@ -22,8 +22,8 @@
 ///    next boundary in a local instead of the calendar while it precedes
 ///    the next failure and the wall-time cap: per boundary one clock and
 ///    event credit, the handler arithmetic the calendar path runs, and one
-///    seq draw. Trials that record a trace or timeline keep the per-phase
-///    path; metrics-observed trials chain. Every observable (results,
+///    seq draw. Observed trials chain too: metrics and trace spans are
+///    recorded by that shared arithmetic. Every observable (results,
 ///    metrics including `sim_events`, traces, RNG draw order, seq draws,
 ///    executed-event and watchdog-poll counts) is byte-identical to the
 ///    event path, because every seq is drawn at the same point and

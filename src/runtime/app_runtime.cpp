@@ -101,11 +101,6 @@ void ResilientAppRuntime::start() {
     singles_ = plan_.app.nodes - duplicated;
   }
 
-  // Trace spans and timeline entries are emitted per phase; a PFS device
-  // completes its phases itself. Either keeps the per-phase path.
-  chainable_ = !timeline_.has_value() && (obs_ == nullptr || obs_->trace() == nullptr) &&
-               pfs_service_ == nullptr;
-
   if (plan_.max_wall_time.is_finite()) {
     sim_.publish_after(timeout_slot_, plan_.max_wall_time);
   }
@@ -348,9 +343,11 @@ void ResilientAppRuntime::on_checkpoint_done() {
   enter_working();
 }
 
-std::uint64_t ResilientAppRuntime::run_chain(PhaseCalendar::Entry bound,
+std::uint64_t ResilientAppRuntime::run_chain(const PhaseCalendar::Entry& bound,
                                              std::uint64_t executed) {
-  XRES_CHECK(can_chain(), "run_chain outside a chainable Working/Checkpointing phase");
+  XRES_CHECK(can_chain(), "run_chain outside a Working/Checkpointing phase");
+  // A PFS device completes shared-file-system checkpoints itself.
+  XRES_CHECK(pfs_service_ == nullptr, "run_chain with a PFS transfer service");
   PhaseCalendar::Entry next = sim_.slot_entry(phase_slot_);
   XRES_CHECK(PhaseCalendar::earlier(next, bound), "run_chain with no boundary before its bound");
   sim_.retract(phase_slot_);
@@ -370,12 +367,8 @@ std::uint64_t ResilientAppRuntime::run_chain(PhaseCalendar::Entry bound,
       finish_checkpoint();
       if (!begin_working(length)) return executed;
     }
-    if (sim_.seq_wrap_due()) [[unlikely]] {
-      // This draw renumbers every pending seq, so the copy in \p bound goes
-      // stale: publish as the calendar path does and let the caller re-read.
-      sim_.publish_after(phase_slot_, length);
-      return executed;
-    }
+    // A draw that renumbers rewrites \p bound in place; the boundary just
+    // fired was the only held entry and is no longer pending.
     next = sim_.draw_entry(phase_slot_, length);
     if (!PhaseCalendar::earlier(next, bound)) {
       sim_.publish_entry(phase_slot_, next);

@@ -33,11 +33,11 @@
 /// begin_checkpointing, finish_checkpoint, begin_working) as the
 /// calendar-dispatched handlers and drawing the same seq, with the next
 /// boundary held in a local and published only when the chain stops.
-/// Runs that record a trace or timeline, or use a PFS device, do not
-/// chain (can_chain()). Progress is measured in
-/// stretched-work seconds against plan.work_target; a per-level ledger
-/// records the progress captured by the last completed checkpoint of each
-/// level.
+/// Trace spans and timeline entries are written by that shared arithmetic,
+/// so a chained run records what a calendar-dispatched one does. Progress
+/// is measured in stretched-work seconds against plan.work_target; a
+/// per-level ledger records the progress captured by the last completed
+/// checkpoint of each level.
 
 #include <cstdint>
 #include <functional>
@@ -130,11 +130,9 @@ class ResilientAppRuntime final : private CalendarClient {
   [[nodiscard]] CalendarSlot timeout_slot() const { return timeout_slot_; }
 
   /// True when the published phase boundary may be dispatched by
-  /// run_chain(): the phase is Working or Checkpointing, and the run
-  /// records no timeline or trace and has no PFS transfer service (both
-  /// fixed at start()).
+  /// run_chain(): the phase is Working or Checkpointing.
   [[nodiscard]] bool can_chain() const {
-    return chainable_ && (phase_ == Phase::kWorking || phase_ == Phase::kCheckpointing);
+    return phase_ == Phase::kWorking || phase_ == Phase::kCheckpointing;
   }
 
   /// Fire the published phase boundary and every Working⇄Checkpointing
@@ -142,16 +140,17 @@ class ResilientAppRuntime final : private CalendarClient {
   /// one Simulation::fire_held(), the handler arithmetic that
   /// on_calendar() runs, and one seq draw, the next boundary staying in a
   /// local instead of the calendar. The chain stops at the first boundary
-  /// not before \p bound (published, so the caller's loop resumes), when
-  /// the run completes, or at a seq draw that renumbers (that boundary is
-  /// published through publish_after(), as the calendar path would, and
-  /// the caller must re-read \p bound, whose seq the renumbering
-  /// rewrote). Polls the watchdog
-  /// every 4096 events exactly as Simulation::run does, counting from
-  /// \p executed; returns the updated count. Requires can_chain(), the
-  /// phase boundary strictly before \p bound, and \p bound constant while
-  /// only phase boundaries fire (the caller owns every other pending entry).
-  std::uint64_t run_chain(PhaseCalendar::Entry bound, std::uint64_t executed);
+  /// not before \p bound (published, so the caller's loop resumes) or when
+  /// the run completes. \p bound is read afresh for every boundary, so it
+  /// must refer to the interrupt's live calendar entry
+  /// (Simulation::slot_entry): a seq draw that renumbers rewrites it in
+  /// place, keeping its order against the boundary drawn next. Polls the
+  /// watchdog every 4096 events exactly as Simulation::run does, counting
+  /// from \p executed; returns the updated count. Requires can_chain(), no
+  /// PFS transfer service, the phase boundary strictly before \p bound,
+  /// and \p bound's slot unchanged while only phase boundaries fire (the
+  /// caller owns every other pending entry).
+  std::uint64_t run_chain(const PhaseCalendar::Entry& bound, std::uint64_t executed);
 
   /// The recorded timeline, or nullptr when recording was not enabled.
   [[nodiscard]] const Timeline* timeline() const {
@@ -174,18 +173,19 @@ class ResilientAppRuntime final : private CalendarClient {
   // The Working⇄Checkpointing boundary arithmetic, shared by the
   // calendar-dispatched handlers (on_segment_done, on_checkpoint_done and
   // the enter_* functions they call) and run_chain(); publishing the next
-  // boundary is left to the caller.
+  // boundary is left to the caller. These and accrue_known are inline,
+  // defined (and only called) in app_runtime.cpp.
 
   /// Enter Working and set \p length to the segment's duration; false
   /// (after complete()) when the work target is already reached.
-  bool begin_working(Duration& length);
+  inline bool begin_working(Duration& length);
   /// Book the Working segment ending now; false (after complete()) when it
   /// reached the work target.
-  bool finish_segment();
+  inline bool finish_segment();
   /// Enter Checkpointing; returns the checkpoint's nominal duration.
-  Duration begin_checkpointing();
+  inline Duration begin_checkpointing();
   /// Book the checkpoint ending now and set the next checkpoint target.
-  void finish_checkpoint();
+  inline void finish_checkpoint();
   void enter_restarting(std::size_t level_index, Duration restore_cost, bool shared_pfs);
   void enter_recovering(Duration lost_work);
 
@@ -216,8 +216,8 @@ class ResilientAppRuntime final : private CalendarClient {
   /// identical order, minus the phase dispatch. \p bucket is the
   /// result_ time bucket for the phase and \p nodes its active-node
   /// count.
-  void accrue_known(Duration elapsed, Duration& bucket, SpanKind span,
-                    double nodes);
+  inline void accrue_known(Duration elapsed, Duration& bucket, SpanKind span,
+                           double nodes);
 
   /// The cold tail of accrue_known: trace-span emission (only reached
   /// when the trial collects a trace).
@@ -309,9 +309,6 @@ class ResilientAppRuntime final : private CalendarClient {
   CalendarSlot phase_slot_;
   CalendarSlot timeout_slot_;
   bool slots_open_{true};
-  /// run_chain() may dispatch this run's Working⇄Checkpointing boundaries
-  /// (set by start(); see can_chain()).
-  bool chainable_{false};
   /// The in-flight phase is a PFS device transfer rather than a published
   /// phase slot.
   PfsDeviceTransferService::TransferHandle pending_transfer_{};

@@ -170,12 +170,9 @@ class EventQueue {
   /// Draw the next insertion seq — exactly what schedule() consumes. The
   /// paired calendar publishes with these.
   std::uint32_t draw_seq() {
-    if (seq_wrap_due()) renumber_seqs();
+    if (next_seq_ > 0xFFFFFFFFULL) renumber_seqs();
     return static_cast<std::uint32_t>(next_seq_++);
   }
-
-  /// True when the next draw_seq() renumbers the outstanding seqs first.
-  [[nodiscard]] bool seq_wrap_due() const { return next_seq_ > 0xFFFFFFFFULL; }
 
   /// Events popped so far (the lifetime tally the destructor flushes).
   [[nodiscard]] std::uint64_t popped() const { return stat_popped_; }

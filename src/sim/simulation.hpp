@@ -121,16 +121,13 @@ class Simulation {
   // of publishing every entry.
 
   /// The entry publish_after(\p slot, \p delay) would store, for the
-  /// caller to hold: draws one seq. A draw for which seq_wrap_due() holds
-  /// first renumbers every pending seq, so a holder must not keep copies of
-  /// pending entries (or a held entry) across it.
+  /// caller to hold: draws one seq. A draw may first renumber every pending
+  /// seq (in place, so slot_entry() references stay current), so a holder
+  /// must not keep a held entry or copies of pending ones across it.
   [[nodiscard]] PhaseCalendar::Entry draw_entry(CalendarSlot slot, Duration delay) {
     if (!(delay >= Duration::zero())) [[unlikely]] reject_delay(delay);
     return PhaseCalendar::make_entry(slot, now_ + delay, queue_.draw_seq());
   }
-
-  /// True when the next seq draw renumbers every pending seq first.
-  [[nodiscard]] bool seq_wrap_due() const { return queue_.seq_wrap_due(); }
 
   /// Publish \p entry, drawn by draw_entry() for \p slot and never
   /// published since.

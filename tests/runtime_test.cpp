@@ -410,15 +410,18 @@ struct DispatchRun {
   ExecutionResult result;
   std::uint64_t events{0};
   std::vector<ResilientAppRuntime::Phase> hit_phases;
+  std::vector<PhaseSpan> spans;
 };
 
 /// Run \p plan against \p steps on a fresh Simulation whose shared seq
 /// counter starts at \p first_seq: through run_direct() when \p chained,
 /// through Simulation::run() otherwise. \p publish_first publishes the
 /// first step before the runtime starts (its seq precedes every boundary's).
+/// \p timeline records the run's phase spans.
 DispatchRun run_dispatch(bool chained, const ExecutionPlan& plan,
                          const std::vector<ScriptedFailures::Step>& steps,
-                         bool publish_first, std::uint64_t first_seq = 0) {
+                         bool publish_first, std::uint64_t first_seq = 0,
+                         bool timeline = false) {
   Simulation sim;
   SeqCounterTestPeer::preset(sim, first_seq);
   DispatchRun run;
@@ -430,6 +433,7 @@ DispatchRun run_dispatch(bool chained, const ExecutionPlan& plan,
                            sim.request_stop();
                          }};
   failures.attach(rt);
+  if (timeline) rt.enable_timeline();
   if (publish_first) failures.start();
   rt.start();
   if (!publish_first) failures.start();
@@ -441,6 +445,7 @@ DispatchRun run_dispatch(bool chained, const ExecutionPlan& plan,
   EXPECT_TRUE(finished);
   run.events = sim.events_processed();
   run.hit_phases = failures.hit_phases();
+  if (rt.timeline() != nullptr) run.spans = rt.timeline()->spans();
   return run;
 }
 
@@ -458,6 +463,12 @@ void expect_same_dispatch(const DispatchRun& a, const DispatchRun& b) {
   EXPECT_EQ(a.result.node_seconds, b.result.node_seconds);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.hit_phases, b.hit_phases);
+  ASSERT_EQ(a.spans.size(), b.spans.size());
+  for (std::size_t i = 0; i < a.spans.size(); ++i) {
+    EXPECT_EQ(a.spans[i].kind, b.spans[i].kind) << "span " << i;
+    EXPECT_EQ(a.spans[i].start, b.spans[i].start) << "span " << i;
+    EXPECT_EQ(a.spans[i].length, b.spans[i].length) << "span " << i;
+  }
 }
 
 using Phase = ResilientAppRuntime::Phase;
@@ -523,19 +534,24 @@ TEST(RuntimeChain, SeqRenumberingInsideAChainKeepsTheTieOrder) {
 TEST(RuntimeChain, ChainedAndCalendarDispatchAgreeOnAFailureStorm) {
   // Failures in every phase, including ties with boundaries on both sides
   // and a failure during the restart, with the counter crossing the wrap
-  // midway through the run.
+  // midway through the run. A run that records a timeline chains too
+  // (the spans are written by the shared boundary arithmetic) and must
+  // record the same spans.
   std::vector<ScriptedFailures::Step> steps;
   for (const double t : {5.0, 11.0, 22.0, 25.0, 26.0, 47.0, 60.0, 60.0, 83.5, 99.0}) {
     steps.push_back({t, true});
   }
   for (const std::uint64_t first_seq : {std::uint64_t{0}, std::uint64_t{0xFFFFFFFFULL - 20}}) {
     for (const bool publish_first : {true, false}) {
-      const DispatchRun chained =
-          run_dispatch(true, tiny_plan(), steps, publish_first, first_seq);
-      const DispatchRun calendar =
-          run_dispatch(false, tiny_plan(), steps, publish_first, first_seq);
-      expect_same_dispatch(chained, calendar);
-      EXPECT_EQ(chained.result.failures_seen, steps.size());
+      for (const bool timeline : {false, true}) {
+        const DispatchRun chained =
+            run_dispatch(true, tiny_plan(), steps, publish_first, first_seq, timeline);
+        const DispatchRun calendar =
+            run_dispatch(false, tiny_plan(), steps, publish_first, first_seq, timeline);
+        expect_same_dispatch(chained, calendar);
+        EXPECT_EQ(chained.result.failures_seen, steps.size());
+        EXPECT_EQ(chained.spans.empty(), !timeline);
+      }
     }
   }
 }

@@ -154,11 +154,10 @@ determinism_check() {
   cmp "$dir/t1a.json" "$dir/te1.json"
   cmp "$dir/r1a-clean.txt" "$dir/re4-clean.txt"
   cmp "$dir/m1a.json" "$dir/me4.json"
-  # Unobserved runs (no --metrics, no --trace) on both engines: the direct
-  # engine chains phase boundaries only when no trace is recorded, so these
-  # must reproduce the traced reference. Without --metrics the report
-  # lacks the "Instrumented breakdown" table (and the blank line before
-  # it); every other byte must match r1a-clean.txt.
+  # Unobserved runs (no --metrics, no --trace) on both engines: trials with
+  # no observer at all must reproduce the observed reference. Without
+  # --metrics the report lacks the "Instrumented breakdown" table (and the
+  # blank line before it); every other byte must match r1a-clean.txt.
   awk '
     /^Instrumented breakdown/ { skip = 1; borders = 0; blank = 0; next }
     skip { if (/^\+/ && ++borders == 3) skip = 0; next }
