@@ -4,9 +4,9 @@
 // engine's performance (a full Figure 1-5 reproduction executes tens of
 // millions of events).
 //
-// Besides the usual console table, every run writes a machine-readable
-// summary (default BENCH_engine.json, override with --out) so CI can diff
-// engine throughput across commits without scraping stdout.
+// Besides the usual console table, `--out <path>` writes a machine-readable
+// summary so CI can diff engine throughput across commits without scraping
+// stdout. Without --out no file is written.
 
 #include <benchmark/benchmark.h>
 
@@ -430,7 +430,7 @@ void write_summary(const std::string& path, const std::vector<CapturingReporter:
 
 int main(int argc, char** argv) {
   // Peel off our own --out flag before google-benchmark sees the args.
-  std::string out_path = "BENCH_engine.json";
+  std::string out_path;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -10,15 +10,12 @@
 #include <utility>
 
 #include "core/trial_engine.hpp"
-#include "failure/process.hpp"
 #include "failure/replay.hpp"
-#include "failure/severity.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/json_parse.hpp"
 #include "recovery/shutdown.hpp"
 #include "recovery/trial_record.hpp"
 #include "obs/perf.hpp"
-#include "resilience/planner.hpp"
 #include "runtime/app_runtime.hpp"
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
@@ -39,6 +36,17 @@ ExecutionResult infeasible_result(const ExecutionPlan& plan, obs::TrialObs* obs)
     obs->count(m.trials_infeasible);
   }
   return result;
+}
+
+/// A planned trial, from a spec or from the planner: the direct engine
+/// (core/trial_engine.hpp) under the plan's own failure rate.
+ExecutionResult run_planned_trial(const ExecutionPlan& plan,
+                                  const ResilienceConfig& resilience,
+                                  const FailureDistribution& dist, std::uint64_t seed,
+                                  obs::TrialObs* obs) {
+  if (!plan.feasible) return infeasible_result(plan, obs);
+  return run_plan_trial_direct(plan, cached_severity_model(resilience.severity_weights),
+                               dist, seed, obs);
 }
 
 /// Attempt number of the trial currently executing on this thread; set by
@@ -145,42 +153,8 @@ std::uint64_t TrialSpec::derived_seed(std::uint64_t root) const {
 
 ExecutionResult run_trial(const PlanTrialSpec& spec, std::uint64_t seed,
                           obs::TrialObs* obs) {
-  if (!spec.plan.feasible) return infeasible_result(spec.plan, obs);
-
-  const SeverityModel& severity =
-      cached_severity_model(spec.resilience.severity_weights);
-  if (trial_engine() == TrialEngine::kDirect) {
-    return run_plan_trial_direct(spec.plan, severity, spec.failure_distribution,
-                                 seed, obs);
-  }
-
-  Simulation sim;
-  ExecutionResult final_result;
-  bool finished = false;
-
-  ResilientAppRuntime runtime{
-      sim, spec.plan, derive_seed(seed, 0x72756e74696dULL), [&](const ExecutionResult& r) {
-        final_result = r;
-        finished = true;
-        sim.request_stop();
-      }};
-  runtime.set_observer(obs);
-
-  AppFailureProcess failures{
-      sim,
-      spec.plan.failure_rate,
-      severity,
-      spec.failure_distribution,
-      Pcg32{derive_seed(seed, 0x6661696c7321ULL)},
-      [&runtime](const Failure& f) { runtime.on_failure(f); }};
-
-  failures.start();
-  runtime.start();
-  sim.run();
-
-  XRES_CHECK(finished, "plan trial ended without a completion callback");
-  record_trial_metrics(obs, final_result, sim.events_processed());
-  return final_result;
+  return run_planned_trial(spec.plan, spec.resilience, spec.failure_distribution, seed,
+                           obs);
 }
 
 ExecutionResult run_trial(const TraceTrialSpec& spec, std::uint64_t seed,
@@ -189,8 +163,8 @@ ExecutionResult run_trial(const TraceTrialSpec& spec, std::uint64_t seed,
   // API symmetry and future runtime knobs.
   if (!spec.plan.feasible) return infeasible_result(spec.plan, obs);
 
-  // One path on both engines (core/trial_engine.hpp): the replayed
-  // failures are queued up front, the runtime's phases use the calendar.
+  // The replayed failures are queued up front, the runtime's phases use
+  // the calendar (core/trial_engine.hpp).
   Simulation sim;
   ExecutionResult final_result;
   bool finished = false;
@@ -210,7 +184,7 @@ ExecutionResult run_trial(const TraceTrialSpec& spec, std::uint64_t seed,
   sim.run();
 
   XRES_CHECK(finished, "trace trial ended without a completion callback");
-  if (trial_engine() == TrialEngine::kDirect) obs::perf_add_batched_trials(1);
+  obs::perf_add_batched_trials(1);
   record_trial_metrics(obs, final_result, sim.events_processed());
   return final_result;
 }
@@ -219,21 +193,8 @@ ExecutionResult run_trial(const SingleAppTrialConfig& config, std::uint64_t seed
                           obs::TrialObs* obs) {
   // The plan cache makes the planner (the multilevel optimizer especially)
   // a once-per-worker-per-cell cost instead of a per-trial one.
-  const ExecutionPlan& plan = cached_plan(config);
-  if (!plan.feasible) return infeasible_result(plan, obs);
-
-  const SeverityModel& severity =
-      cached_severity_model(config.resilience.severity_weights);
-  if (trial_engine() == TrialEngine::kDirect) {
-    return run_plan_trial_direct(plan, severity, config.failure_distribution,
-                                 seed, obs);
-  }
-
-  PlanTrialSpec spec;
-  spec.plan = plan;
-  spec.resilience = config.resilience;
-  spec.failure_distribution = config.failure_distribution;
-  return run_trial(spec, seed, obs);
+  return run_planned_trial(cached_plan(config), config.resilience,
+                           config.failure_distribution, seed, obs);
 }
 
 ExecutionResult run_trial(const TrialSpec& spec, std::uint64_t root_seed,

@@ -1,9 +1,6 @@
 #include "core/trial_engine.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <optional>
-#include <string_view>
 #include <utility>
 
 #include "obs/perf.hpp"
@@ -12,42 +9,8 @@
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
 #include "util/deadline.hpp"
-#include "util/log.hpp"
 
 namespace xres {
-
-namespace {
-
-/// -1: no override (use the environment); otherwise a TrialEngine value.
-std::atomic<int> g_engine_override{-1};
-
-TrialEngine engine_from_env() {
-  const char* value = std::getenv("XRES_TRIAL_ENGINE");
-  if (value == nullptr) return TrialEngine::kDirect;  // auto
-  const std::string_view v{value};
-  if (v == "event") return TrialEngine::kEvent;
-  if (v == "direct" || v == "auto" || v.empty()) return TrialEngine::kDirect;
-  XRES_LOG_WARN("unknown XRES_TRIAL_ENGINE '" + std::string{v} +
-                "' (expected event|direct|auto); using auto");
-  return TrialEngine::kDirect;
-}
-
-}  // namespace
-
-TrialEngine trial_engine() {
-  const int override = g_engine_override.load(std::memory_order_relaxed);
-  if (override >= 0) return static_cast<TrialEngine>(override);
-  static const TrialEngine from_env = engine_from_env();
-  return from_env;
-}
-
-ScopedTrialEngine::ScopedTrialEngine(TrialEngine engine)
-    : previous_{g_engine_override.exchange(static_cast<int>(engine),
-                                           std::memory_order_relaxed)} {}
-
-ScopedTrialEngine::~ScopedTrialEngine() {
-  g_engine_override.store(previous_, std::memory_order_relaxed);
-}
 
 void record_trial_metrics(obs::TrialObs* obs, const ExecutionResult& r,
                           std::uint64_t sim_events) {
@@ -130,8 +93,8 @@ namespace {
 /// sample followed by the next gap), published into a phase-calendar slot
 /// instead of the event queue. Each publish draws its insertion seq where
 /// AppFailureProcess's schedule_after would, so the trial's total event
-/// order — and every observable — matches the event engine, while the
-/// trial never touches the event heap.
+/// order — and every observable — matches the event-queue oracle
+/// (core/trial_engine.hpp), while the trial never touches the event heap.
 class CalendarFailureStream final : private CalendarClient {
  public:
   CalendarFailureStream(Simulation& sim, ResilientAppRuntime& runtime,

@@ -1,43 +1,42 @@
 #pragma once
 
 /// \file trial_engine.hpp
-/// Trial execution engines.
+/// The single-application trial engine.
 ///
-/// Every single-application trial runs in a Simulation whose application
-/// runtime publishes its phase boundaries and wall-time cap into the phase
-/// calendar (sim/phase_calendar.hpp) — the one scheduling path shared with
-/// the workload engine, tests and examples. The two trial engines differ in
-/// where a planned trial's failure stream lives and in who runs the loop:
+/// Every planned single-application trial (the Monte-Carlo trials behind
+/// Figures 1-3) runs here, on one path: the application runtime publishes
+/// its phase boundaries and wall-time cap into the phase calendar
+/// (sim/phase_calendar.hpp), the one scheduling path shared with the
+/// workload engine, tests and examples; the failure stream draws
+/// AppFailureProcess's draws, in the same RNG order, into a calendar slot
+/// of its own, so the trial never touches the event heap; and a loop
+/// (run_direct), Simulation::run narrowed to the trial's three calendar
+/// slots, runs it. Severity models and plans are cached per thread, so no
+/// trial rebuilds them.
 ///
-///  * **event** — the reference path: AppFailureProcess schedules each
-///    failure as an event-queue callback (sim/event_queue.hpp) and
-///    Simulation::run merges queue and calendar.
-///  * **direct** — the fast path: the same draws, in the same RNG order,
-///    published into a calendar slot of their own, so the trial never
-///    touches the event heap, and a loop (run_direct) that is
-///    Simulation::run narrowed to the trial's three calendar slots; plus
-///    no per-trial SeverityModel or plan rebuild (thread-local caches).
-///    Between interrupts the loop hands the Working⇄Checkpointing
-///    alternation to ResilientAppRuntime::run_chain(), which keeps each
-///    next boundary in a local instead of the calendar while it precedes
-///    the next failure and the wall-time cap: per boundary one clock and
-///    event credit, the handler arithmetic the calendar path runs, and one
-///    seq draw. Observed trials chain too: metrics and trace spans are
-///    recorded by that shared arithmetic. Every observable (results,
-///    metrics including `sim_events`, traces, RNG draw order, seq draws,
-///    executed-event and watchdog-poll counts) is byte-identical to the
-///    event path, because every seq is drawn at the same point and
-///    handlers run in the same (time, seq) order. The differential harness
-///    (tests/surrogate_diff_test.cpp, observed and unobserved), the
-///    chained-vs-calendar runtime tests (tests/runtime_test.cpp) and
-///    tier-1's determinism stage enforce that equivalence.
+/// Between interrupts the loop hands the Working⇄Checkpointing alternation
+/// to ResilientAppRuntime::run_chain(). The chain keeps each next boundary
+/// in a local instead of the calendar while it precedes the next failure
+/// and the wall-time cap. Per boundary it costs one clock and event credit,
+/// the handler arithmetic the calendar path runs, and one seq draw.
+/// Observed trials chain too: metrics and trace spans are recorded by that
+/// shared arithmetic.
 ///
-/// Trace-replay trials have a fixed, pre-ordered failure list and run one
-/// path on both settings (TraceFailureProcess queues it up front).
+/// **The event-queue oracle.** The same trial can also be built from
+/// public parts: AppFailureProcess schedules each failure as an event-queue
+/// callback (sim/event_queue.hpp) and Simulation::run merges queue and
+/// calendar. That construction is not a production path. It is the
+/// reference tests/surrogate_diff_test.cpp runs every trial of its matrix
+/// through, and the direct engine must match it in every observable:
+/// results, metrics including `sim_events`, traces, RNG draw order, seq
+/// draws, executed-event and watchdog-poll counts. It does, because every
+/// seq is drawn at the same point and handlers run in the same (time, seq)
+/// order. The chained-vs-calendar runtime tests (tests/runtime_test.cpp)
+/// and tier-1's cross-commit determinism goldens
+/// (tests/data/efficiency_a32_s7.*) guard the same contract.
 ///
-/// Selection: `XRES_TRIAL_ENGINE=event|direct|auto` (default `auto`, which
-/// runs direct). Tests pin the engine programmatically with
-/// `ScopedTrialEngine`.
+/// Trace-replay trials have a fixed, pre-ordered failure list and run on
+/// Simulation::run (TraceFailureProcess queues it up front; core/executor.cpp).
 
 #include <cstdint>
 
@@ -51,28 +50,6 @@ namespace xres {
 
 class ResilientAppRuntime;
 class Simulation;
-
-enum class TrialEngine { kEvent, kDirect };
-
-/// The engine selected by XRES_TRIAL_ENGINE (or a live ScopedTrialEngine
-/// override). Unknown values fall back to the default (`auto` → direct).
-[[nodiscard]] TrialEngine trial_engine();
-
-/// Pin the trial engine for a scope (tests, the differential harness).
-/// Overrides nest; destruction restores the previous selection. The
-/// override is process-global: study drivers fan trials across worker
-/// threads and the whole batch must run one engine.
-class ScopedTrialEngine {
- public:
-  explicit ScopedTrialEngine(TrialEngine engine);
-  ~ScopedTrialEngine();
-
-  ScopedTrialEngine(const ScopedTrialEngine&) = delete;
-  ScopedTrialEngine& operator=(const ScopedTrialEngine&) = delete;
-
- private:
-  int previous_;
-};
 
 /// Run one plan trial on the direct engine. \p plan must be feasible.
 [[nodiscard]] ExecutionResult run_plan_trial_direct(const ExecutionPlan& plan,
@@ -93,8 +70,8 @@ void run_direct(Simulation& sim, ResilientAppRuntime& runtime, CalendarSlot fail
 
 /// Fold one finished trial into its observer: counters/gauges from the
 /// ExecutionResult plus the trial-shape histograms, including the exact
-/// executed-event count (identical on both engines by construction).
-/// Shared by both engines so the recorded metrics agree byte for byte.
+/// executed-event count. Shared with trace-replay trials and the
+/// event-queue oracle so the recorded metrics agree byte for byte.
 void record_trial_metrics(obs::TrialObs* obs, const ExecutionResult& r,
                           std::uint64_t sim_events);
 

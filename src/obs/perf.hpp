@@ -38,8 +38,9 @@ struct PerfCounters {
   std::uint64_t trials_resumed{0};
   std::uint64_t trials_retried{0};
   std::uint64_t trials_quarantined{0};
-  /// Trials executed on the direct (batched) engine — a subset of
-  /// trials_executed (core/trial_engine.hpp).
+  /// Simulated single-application trials: planned trials (the trial
+  /// engine, core/trial_engine.hpp) and trace replays. Trials whose plan is
+  /// infeasible return without simulating and do not count.
   std::uint64_t batched_trials{0};
   /// Study cells answered by the analytic surrogate without simulating
   /// (resilience/surrogate.hpp) / cells where the error bound forced a
@@ -68,7 +69,7 @@ void perf_add_journal_fsync();
 void perf_add_trials(std::uint64_t executed, std::uint64_t resumed,
                      std::uint64_t retried, std::uint64_t quarantined);
 
-/// Flush trials executed on the direct (batched) engine.
+/// Count simulated single-application trials (`batched_trials`).
 void perf_add_batched_trials(std::uint64_t count);
 
 /// Count surrogate-answered cells and bound-exceeded fallbacks.

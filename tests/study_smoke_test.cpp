@@ -12,7 +12,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/trial_engine.hpp"
 #include "study/capture.hpp"
 #include "study/options.hpp"
 #include "study/registry.hpp"
@@ -85,45 +84,6 @@ void expect_threads_invariant(const std::string& name) {
   EXPECT_EQ(one.stdout_bytes, two.stdout_bytes) << name;
   EXPECT_EQ(one.csv_bytes, two.csv_bytes) << name;
   EXPECT_EQ(one.metrics_bytes, two.metrics_bytes) << name;
-}
-
-// The batched (direct) and unbatched (event-queue) trial engines must
-// produce byte-identical study artifacts at any thread count — the
-// cross-engine face of the determinism contract (the full differential
-// matrix lives in surrogate_diff_test.cpp).
-void expect_engine_invariant(const std::string& name) {
-  const StudyDefinition* def = StudyRegistry::instance().find(name);
-  ASSERT_NE(def, nullptr) << name;
-  SmokeArtifacts direct;
-  {
-    const ScopedTrialEngine scoped{TrialEngine::kDirect};
-    direct = run_smoke(*def, 1);
-  }
-  ASSERT_EQ(direct.exit_code, 0) << name;
-  SmokeArtifacts event;
-  {
-    const ScopedTrialEngine scoped{TrialEngine::kEvent};
-    event = run_smoke(*def, def->options.threads ? 4 : 1);
-  }
-  ASSERT_EQ(event.exit_code, 0) << name;
-  EXPECT_EQ(direct.stdout_bytes, event.stdout_bytes) << name;
-  EXPECT_EQ(direct.csv_bytes, event.csv_bytes) << name;
-  EXPECT_EQ(direct.metrics_bytes, event.metrics_bytes) << name;
-}
-
-TEST(StudySmoke, FastSubsetEngineInvariant) {
-  for (const char* name : {"fig1_efficiency_a32", "efficiency"}) {
-    expect_engine_invariant(name);
-  }
-}
-
-TEST(StudySmoke, FullCatalogEngineInvariant) {
-  if (std::getenv("XRES_SMOKE_ALL") == nullptr) {
-    GTEST_SKIP() << "set XRES_SMOKE_ALL=1 to sweep the full catalog";
-  }
-  for (const StudyDefinition* def : StudyRegistry::instance().all()) {
-    expect_engine_invariant(def->name);
-  }
 }
 
 // Fast tier-1 subset: one study per harness shape — static table, figure

@@ -1,10 +1,11 @@
-// Differential harness for the batched trial engine and the analytic
-// surrogate (core/surrogate.hpp). Sweeps (study, params, seed) cells
-// through:
+// Differential harness for the single-application trial engine and the
+// analytic surrogate (core/surrogate.hpp). Sweeps (study, params, seed)
+// cells through:
 //
-//  * batched (direct-execution) vs. unbatched (event-queue) trial engines,
-//    at 1 and 4 worker threads — every ExecutionResult field and the merged
-//    metrics must match exactly (byte drift fails);
+//  * the direct trial engine (TrialExecutor, at 1 and 4 worker threads,
+//    observed and unobserved) vs. the event-queue oracle below, run
+//    serially — every ExecutionResult field, the merged metrics and trial
+//    0's trace must match exactly (byte drift fails);
 //  * surrogate-answered vs. fully-simulated efficiency studies — anchor and
 //    fallback cells must be bit-identical to the simulated study, and every
 //    surrogate-answered cell must sit within its reported error bound.
@@ -17,15 +18,22 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "apps/app_type.hpp"
 #include "core/single_app_study.hpp"
 #include "core/surrogate.hpp"
 #include "core/trial_engine.hpp"
+#include "failure/process.hpp"
 #include "obs/perf.hpp"
+#include "obs/trace.hpp"
 #include "obs/trial_obs.hpp"
+#include "resilience/planner.hpp"
 #include "resilience/technique.hpp"
+#include "runtime/app_runtime.hpp"
+#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace xres {
@@ -49,8 +57,8 @@ constexpr bool tsan_build() {
 
 bool full_matrix() { return std::getenv("XRES_SMOKE_ALL") != nullptr; }
 
-/// Field-exact ExecutionResult comparison: the engines promise identical
-/// arithmetic, so even the accumulated doubles must match bit for bit.
+/// Field-exact ExecutionResult comparison: engine and oracle promise
+/// identical arithmetic, so even the accumulated doubles must match bit for bit.
 void expect_identical(const ExecutionResult& a, const ExecutionResult& b,
                       const std::string& label) {
   EXPECT_EQ(a.completed, b.completed) << label;
@@ -69,36 +77,121 @@ void expect_identical(const ExecutionResult& a, const ExecutionResult& b,
   EXPECT_EQ(a.node_seconds, b.node_seconds) << label;
 }
 
+/// The event-queue oracle for one planned trial, built from library API
+/// only: AppFailureProcess schedules each failure as an event-queue
+/// callback and Simulation::run merges the queue with the runtime's
+/// calendar slots. The direct engine draws the same failures in the same
+/// RNG order from a calendar slot of its own and must reproduce every
+/// observable of this construction (core/trial_engine.hpp).
+ExecutionResult run_event_trial(const PlanTrialSpec& spec, std::uint64_t seed,
+                                obs::TrialObs* obs) {
+  // Infeasible plans return without simulating: no engine is involved.
+  if (!spec.plan.feasible) return run_trial(spec, seed, obs);
+
+  const SeverityModel severity{spec.resilience.severity_weights};
+  Simulation sim;
+  ExecutionResult final_result;
+  bool finished = false;
+
+  // The trial's two seed streams, keyed as in core/trial_engine.cpp.
+  ResilientAppRuntime runtime{
+      sim, spec.plan, derive_seed(seed, 0x72756e74696dULL), [&](const ExecutionResult& r) {
+        final_result = r;
+        finished = true;
+        sim.request_stop();
+      }};
+  runtime.set_observer(obs);
+
+  AppFailureProcess failures{
+      sim,
+      spec.plan.failure_rate,
+      severity,
+      spec.failure_distribution,
+      Pcg32{derive_seed(seed, 0x6661696c7321ULL)},
+      [&runtime](const Failure& f) { runtime.on_failure(f); }};
+
+  failures.start();
+  runtime.start();
+  sim.run();
+
+  EXPECT_TRUE(finished) << "plan trial ended without a completion callback";
+  record_trial_metrics(obs, final_result, sim.events_processed());
+  return final_result;
+}
+
+/// \p work as the explicit plan the direct engine executes: a planner
+/// config is planned here (make_plan), a PlanTrialSpec is used as is.
+PlanTrialSpec as_plan_spec(const TrialWork& work) {
+  if (const auto* spec = std::get_if<PlanTrialSpec>(&work)) return *spec;
+  const auto& config = std::get<SingleAppTrialConfig>(work);
+  return PlanTrialSpec{
+      make_plan(config.technique, config.app, config.machine, config.resilience),
+      config.resilience, config.failure_distribution};
+}
+
 struct BatchRun {
   std::vector<ExecutionResult> results;
   std::string metrics_text;
+  std::string trace_json;
 };
 
-/// Run one batch under \p engine at \p threads. When \p observed, with
-/// per-trial metrics merged in spec order (the study reduction); otherwise
-/// with no observers at all (metrics_text stays empty), the shape of every
-/// study run without --metrics.
-BatchRun run_engine_batch(TrialEngine engine, unsigned threads,
-                          const SingleAppTrialConfig& config, std::uint64_t seed,
-                          std::uint32_t trials, bool observed = true) {
-  const ScopedTrialEngine scoped{engine};
-  std::vector<TrialSpec> specs;
-  specs.reserve(trials);
-  for (std::uint32_t t = 0; t < trials; ++t) {
-    specs.push_back(TrialSpec{config, {t}});
-  }
-  const TrialExecutor executor{threads};
-  BatchRun run;
-  if (!observed) {
-    run.results = executor.run_batch(seed, specs);
-    return run;
-  }
-  std::vector<obs::TrialObs> observers(specs.size());
+/// Observers for \p trials trials when \p observed: metrics on every
+/// trial, a trace on trial 0 (what a study run with --metrics --trace
+/// collects); none otherwise, the shape of every study run without them.
+std::vector<obs::TrialObs> make_observers(std::uint32_t trials, bool observed) {
+  std::vector<obs::TrialObs> observers;
+  if (!observed) return observers;
+  observers.resize(trials);
   for (obs::TrialObs& o : observers) o.enable_metrics();
-  run.results = executor.run_batch(seed, specs, observers);
+  observers.front().enable_trace();
+  return observers;
+}
+
+/// Merge observed trials in spec order (the study reduction) and render
+/// trial 0's trace.
+void collect(BatchRun& run, std::vector<obs::TrialObs>& observers) {
+  if (observers.empty()) return;
   obs::MetricSet merged;
   for (const obs::TrialObs& o : observers) merged.merge(*o.metrics());
   run.metrics_text = merged.to_table().to_text();
+  obs::TraceLog log;
+  log.add_track("trial 0", std::move(*observers.front().trace()));
+  run.trace_json = log.to_json();
+}
+
+std::vector<TrialSpec> batch_specs(const TrialWork& work, std::uint32_t trials) {
+  std::vector<TrialSpec> specs;
+  specs.reserve(trials);
+  for (std::uint32_t t = 0; t < trials; ++t) specs.push_back(TrialSpec{work, {t}});
+  return specs;
+}
+
+/// The reference batch: every trial through run_event_trial, serially,
+/// under the executor's seed-derivation contract.
+BatchRun run_reference_batch(const TrialWork& work, std::uint64_t seed,
+                             std::uint32_t trials, bool observed = true) {
+  const PlanTrialSpec spec = as_plan_spec(work);
+  std::vector<obs::TrialObs> observers = make_observers(trials, observed);
+  BatchRun run;
+  for (const TrialSpec& trial : batch_specs(work, trials)) {
+    const std::size_t i = run.results.size();
+    run.results.push_back(run_event_trial(spec, trial.derived_seed(seed),
+                                          observed ? &observers[i] : nullptr));
+  }
+  collect(run, observers);
+  return run;
+}
+
+/// One batch on the direct engine through TrialExecutor at \p threads.
+BatchRun run_direct_batch(unsigned threads, const TrialWork& work, std::uint64_t seed,
+                          std::uint32_t trials, bool observed = true) {
+  const std::vector<TrialSpec> specs = batch_specs(work, trials);
+  const TrialExecutor executor{threads};
+  std::vector<obs::TrialObs> observers = make_observers(trials, observed);
+  BatchRun run;
+  run.results = observed ? executor.run_batch(seed, specs, observers)
+                         : executor.run_batch(seed, specs);
+  collect(run, observers);
   return run;
 }
 
@@ -113,16 +206,16 @@ SingleAppTrialConfig diff_cell(const std::string& app, TechniqueKind technique,
   return config;
 }
 
-/// Batched (direct) vs unbatched (event) engines across worker counts:
-/// the differential core of the harness. The event engine at 1 thread,
-/// with metrics, is the reference; every other (engine × threads)
-/// combination must reproduce it exactly, metrics included, and the
-/// direct engine must reproduce its results without observers too.
-void expect_engine_invariant(const SingleAppTrialConfig& config,
-                             const std::string& label, std::uint64_t seed,
-                             std::uint32_t trials) {
-  const BatchRun reference = run_engine_batch(TrialEngine::kEvent, 1, config, seed, trials);
+/// The direct engine against the event-queue oracle across worker counts:
+/// the differential core of the harness. The serial oracle, with metrics
+/// and a trace of trial 0, is the reference; the direct engine at 1 and 4
+/// threads must reproduce it exactly, metrics and trace included, and must
+/// reproduce its results without observers too.
+void expect_engine_invariant(const TrialWork& work, const std::string& label,
+                             std::uint64_t seed, std::uint32_t trials) {
+  const BatchRun reference = run_reference_batch(work, seed, trials);
   ASSERT_EQ(reference.results.size(), trials) << label;
+  ASSERT_FALSE(reference.trace_json.empty()) << label;
   const auto expect_results = [&](const BatchRun& run, const std::string& tag) {
     ASSERT_EQ(run.results.size(), reference.results.size()) << tag;
     for (std::size_t i = 0; i < run.results.size(); ++i) {
@@ -130,23 +223,17 @@ void expect_engine_invariant(const SingleAppTrialConfig& config,
                        tag + "/trial" + std::to_string(i));
     }
   };
-  for (const TrialEngine engine : {TrialEngine::kEvent, TrialEngine::kDirect}) {
-    for (const unsigned threads : {1U, 4U}) {
-      const std::string tag = label + "/" + (engine == TrialEngine::kEvent ? "event" : "direct") +
-                              "/t" + std::to_string(threads);
-      if (engine == TrialEngine::kDirect) {
-        expect_results(run_engine_batch(engine, threads, config, seed, trials,
-                                        /*observed=*/false),
-                       tag + "/unobserved");
-      }
-      if (engine == TrialEngine::kEvent && threads == 1) continue;
-      const BatchRun run = run_engine_batch(engine, threads, config, seed, trials);
-      expect_results(run, tag);
-      // Queue-shape counters legitimately differ between engines; the
-      // study-facing metrics (sim_events, outcome counters, phase gauges)
-      // must not. MetricSet::to_table covers exactly those.
-      EXPECT_EQ(reference.metrics_text, run.metrics_text) << tag;
-    }
+  for (const unsigned threads : {1U, 4U}) {
+    const std::string tag = label + "/direct/t" + std::to_string(threads);
+    expect_results(run_direct_batch(threads, work, seed, trials, /*observed=*/false),
+                   tag + "/unobserved");
+    const BatchRun run = run_direct_batch(threads, work, seed, trials);
+    expect_results(run, tag);
+    // Queue-shape counters legitimately differ between the two; the
+    // study-facing metrics (sim_events, outcome counters, phase gauges)
+    // must not. MetricSet::to_table covers exactly those.
+    EXPECT_EQ(reference.metrics_text, run.metrics_text) << tag;
+    EXPECT_EQ(reference.trace_json, run.trace_json) << tag;
   }
 }
 
@@ -158,10 +245,93 @@ TEST(SurrogateDiff, EnginesAgreeFast) {
       "A32/pr", 7, tsan_build() ? 4 : 12);
 }
 
+/// One cell per plan knob the study catalog sets (the adaptive-interval,
+/// semi-blocking, compression, recovery-parallelism, failure-distribution
+/// and checkpoint-interval studies). \p value in (0, 1) sets each knob:
+/// directly for rates, ratios and the Weibull shape, scaled for the
+/// parallelism and the quantum multiplier. Failure-heavy MTBFs, so each
+/// knob's code path runs many times per trial.
+struct KnobCell {
+  std::string label;
+  TrialWork work;
+};
+
+/// A knob cell's base: 30k nodes at a 1-year node MTBF over an 8-hour
+/// baseline, about 27 failures per trial.
+SingleAppTrialConfig knob_base(const std::string& app, TechniqueKind technique) {
+  SingleAppTrialConfig config = diff_cell(app, technique, 1.0, 30000);
+  config.app = AppSpec::from_baseline(config.app.type, 30000, Duration::hours(8.0));
+  return config;
+}
+
+std::vector<KnobCell> knob_cells(double value) {
+  std::vector<KnobCell> cells;
+  SingleAppTrialConfig adaptive = knob_base("B32", TechniqueKind::kCheckpointRestart);
+  adaptive.resilience.adaptive_interval = true;
+  cells.push_back({"adaptive_interval", adaptive});
+
+  SingleAppTrialConfig semi = knob_base("C64", TechniqueKind::kSemiBlockingCheckpoint);
+  semi.resilience.semi_blocking_work_rate = value;
+  cells.push_back({"semi_blocking_work_rate", semi});
+
+  SingleAppTrialConfig compressed = knob_base("D64", TechniqueKind::kMultilevel);
+  compressed.resilience.checkpoint_compression = value;
+  cells.push_back({"checkpoint_compression", compressed});
+
+  SingleAppTrialConfig parallel = knob_base("A32", TechniqueKind::kParallelRecovery);
+  parallel.resilience.recovery_parallelism = 16.0 * value;
+  cells.push_back({"recovery_parallelism", parallel});
+
+  SingleAppTrialConfig weibull = knob_base("C64", TechniqueKind::kMultilevel);
+  weibull.failure_distribution = FailureDistribution::weibull(value);
+  cells.push_back({"weibull", weibull});
+
+  // A hand-modified plan, as the interval and adaptive ablations build
+  // them: an off-optimum quantum, an adaptive flag the planner did not
+  // set, and a failure rate the planner did not assume.
+  SingleAppTrialConfig base = knob_base("B32", TechniqueKind::kCheckpointRestart);
+  base.resilience.node_mtbf = Duration::years(10.0);
+  PlanTrialSpec raw = as_plan_spec(base);
+  raw.plan.checkpoint_quantum = raw.plan.checkpoint_quantum * (2.0 * value);
+  raw.plan.adaptive_interval = true;
+  raw.plan.failure_rate =
+      Rate::one_per(Duration::years(1.0)) * static_cast<double>(base.app.nodes);
+  cells.push_back({"plan_trial_spec", raw});
+  return cells;
+}
+
+TEST(SurrogateDiff, EnginesAgreeOnPlanKnobs) {
+  const std::uint32_t trials = tsan_build() ? 3 : 6;
+  std::uint64_t seed = 41;
+  for (const KnobCell& cell : knob_cells(0.75)) {
+    expect_engine_invariant(cell.work, cell.label, ++seed, trials);
+    // A knob is only exercised if its trials complete through failures.
+    std::uint64_t failures = 0;
+    for (const ExecutionResult& r :
+         run_direct_batch(1, cell.work, seed, trials, /*observed=*/false).results) {
+      EXPECT_TRUE(r.completed) << cell.label;
+      failures += r.failures_seen;
+    }
+    EXPECT_GT(failures, 10U * trials) << cell.label;
+  }
+}
+
+TEST(SurrogateDiff, EnginesAgreeOnPlanKnobsFullMatrix) {
+  if (!full_matrix()) GTEST_SKIP() << "set XRES_SMOKE_ALL=1 for the full matrix";
+  std::uint64_t seed = 4100;
+  for (const double value : {0.25, 0.5, 0.9}) {
+    for (const KnobCell& cell : knob_cells(value)) {
+      expect_engine_invariant(cell.work, cell.label + "/" + std::to_string(value), ++seed,
+                              8);
+    }
+  }
+}
+
 /// The engine-level perf counters a run reports (perf.json, the ledger's
 /// events_per_s) count every executed event and every watchdog poll, so
-/// the same batch must read the same on both engines, whether the direct
-/// engine dispatched a boundary through the calendar or inside a chain.
+/// the same batch must read the same on the direct engine as on the
+/// oracle, whether the direct engine dispatched a boundary through the
+/// calendar or inside a chain.
 TEST(SurrogateDiff, EnginesExecuteAndPollAlike) {
   // A 100-hour baseline: several thousand events, so several watchdog
   // polls, per trial.
@@ -169,22 +339,27 @@ TEST(SurrogateDiff, EnginesExecuteAndPollAlike) {
   config.app = AppSpec::from_baseline(config.app.type, 30000, Duration::hours(100.0));
   const std::uint32_t trials = tsan_build() ? 4 : 12;
   for (const bool observed : {false, true}) {
-    const auto counters = [&](TrialEngine engine) {
+    const auto counters = [&](const auto& run_batch) {
       const obs::PerfCounters before = obs::perf_snapshot();
-      const BatchRun run = run_engine_batch(engine, 2, config, 20260808, trials, observed);
-      EXPECT_EQ(run.results.size(), trials);
+      EXPECT_EQ(run_batch().results.size(), trials);
       return obs::perf_delta(before);
     };
-    const obs::PerfCounters event = counters(TrialEngine::kEvent);
-    const obs::PerfCounters direct = counters(TrialEngine::kDirect);
+    const obs::PerfCounters event = counters(
+        [&] { return run_reference_batch(config, 20260808, trials, observed); });
+    const obs::PerfCounters direct = counters(
+        [&] { return run_direct_batch(2, config, 20260808, trials, observed); });
     const std::string tag = observed ? "observed" : "unobserved";
     // More than one watchdog poll per trial: the cadence itself is compared.
     EXPECT_GT(event.events_executed(), 4096U * trials) << tag;
     EXPECT_GT(event.watchdog_polls, trials) << tag;
     EXPECT_EQ(event.events_executed(), direct.events_executed()) << tag;
     EXPECT_EQ(event.watchdog_polls, direct.watchdog_polls) << tag;
-    // The direct engine never touches the event heap.
+    // The direct engine never touches the event heap; the oracle does.
     EXPECT_EQ(direct.events_popped, 0U) << tag;
+    EXPECT_GT(event.events_popped, 0U) << tag;
+    // Every simulated trial counts once, on the direct engine only.
+    EXPECT_EQ(event.batched_trials, 0U) << tag;
+    EXPECT_EQ(direct.batched_trials, trials) << tag;
   }
 }
 

@@ -3,8 +3,9 @@
 # rebuild the library + tests under ThreadSanitizer and run the executor
 # tests (the only concurrent code path) plus the event-queue oracle under
 # it. Also replays a small study twice (and across thread counts) and
-# requires byte-identical artifacts — the determinism contract the event
-# engine must uphold.
+# requires byte-identical artifacts that match goldens recorded from an
+# earlier commit (tests/data/efficiency_a32_s7.*) — the determinism
+# contract every engine change must uphold.
 #
 #   tools/tier1.sh [build-dir] [tsan-build-dir]
 #
@@ -12,10 +13,10 @@
 # diff them against bench/BENCH_engine.baseline.json (>15% regression or a
 # batch-scaling collapse fails; see docs/PERFORMANCE.md for the policy and
 # baseline procedure). Set XRES_SMOKE_ALL=1 to additionally byte-compare
-# every registered study's artifacts across --threads 1 vs 2 and across
-# trial engines, and to run the full surrogate differential matrix (tier-1
-# ctest runs fast subsets; see tests/study_smoke_test.cpp and
-# tests/surrogate_diff_test.cpp). Each stage prints its wall time.
+# every registered study's artifacts across --threads 1 vs 2, and to run
+# the full surrogate differential matrix (tier-1 ctest runs fast subsets;
+# see tests/study_smoke_test.cpp and tests/surrogate_diff_test.cpp). Each
+# stage prints its wall time.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -104,10 +105,8 @@ crash_resume_check() {
     echo "crash+resume ($tag): expected exit 75 (interrupted) or 0, got $rc" >&2
     return 1
   fi
-  # Resume under the event-queue engine: the journal was written by the
-  # default (direct) engine, so this pins cross-engine resume identity too.
-  XRES_TRIAL_ENGINE=event "$xres_bin" "${args[@]}" --journal "$dir/j2.jsonl" \
-    --resume --metrics "$dir/resumed2.json" > /dev/null
+  "$xres_bin" "${args[@]}" --journal "$dir/j2.jsonl" --resume \
+    --metrics "$dir/resumed2.json" > /dev/null
   cmp "$dir/golden.json" "$dir/resumed2.json"
   echo "crash+resume ($tag): OK (SIGTERM exit $rc)"
 }
@@ -117,47 +116,50 @@ stage_done crash-resume
 
 # Determinism golden check: the same seeded study must produce byte-for-byte
 # identical report, metrics and trace on a repeat run, and the report +
-# metrics must not depend on the worker-thread count. This is the replay
-# contract every event-engine change has to preserve.
+# metrics must not depend on the worker-thread count. All of them must also
+# match cross-commit goldens (tests/data/efficiency_a32_s7.*; the trace, too
+# large to commit, by its SHA-256) recorded from an earlier commit: repeat
+# and threads checks cannot see an engine change that reorders events
+# consistently; this can. A deliberate model change regenerates the goldens
+# and says so.
 determinism_check() {
   local dir="$OBS_TMP/determinism"
   mkdir -p "$dir"
   local args=(efficiency --type A32 --trials 64 --seed 7)
+  local golden=tests/data/efficiency_a32_s7
   "$BUILD"/tools/xres "${args[@]}" --threads 1 \
     --metrics "$dir/m1a.json" --trace "$dir/t1a.json" > "$dir/r1a.txt"
   "$BUILD"/tools/xres "${args[@]}" --threads 1 \
     --metrics "$dir/m1b.json" --trace "$dir/t1b.json" > "$dir/r1b.txt"
   "$BUILD"/tools/xres "${args[@]}" --threads 4 \
     --metrics "$dir/m4.json" > "$dir/r4.txt"
-  # Engine matrix: the unbatched event-queue engine must reproduce the
-  # default (direct) engine's bytes at both thread counts.
-  XRES_TRIAL_ENGINE=event "$BUILD"/tools/xres "${args[@]}" --threads 1 \
-    --metrics "$dir/me1.json" --trace "$dir/te1.json" > "$dir/re1.txt"
-  XRES_TRIAL_ENGINE=event "$BUILD"/tools/xres "${args[@]}" --threads 4 \
-    --metrics "$dir/me4.json" > "$dir/re4.txt"
   # The reports differ only in the artifact-path lines (the file names are
-  # different by construction); the artifact bytes themselves are compared
-  # with cmp below.
-  local filter=(grep -v -e '^metrics written to ' -e '^trace written to ')
+  # different by construction) and the ledger banner; the artifact bytes
+  # themselves are compared with cmp below.
+  local filter=(grep -v -e '^metrics written to ' -e '^trace written to '
+    -e '^run recorded in ledger ')
   "${filter[@]}" "$dir/r1a.txt" > "$dir/r1a-clean.txt"
   "${filter[@]}" "$dir/r1b.txt" > "$dir/r1b-clean.txt"
   "${filter[@]}" "$dir/r4.txt" > "$dir/r4-clean.txt"
-  "${filter[@]}" "$dir/re1.txt" > "$dir/re1-clean.txt"
-  "${filter[@]}" "$dir/re4.txt" > "$dir/re4-clean.txt"
   cmp "$dir/r1a-clean.txt" "$dir/r1b-clean.txt"
   cmp "$dir/m1a.json" "$dir/m1b.json"
   cmp "$dir/t1a.json" "$dir/t1b.json"
   cmp "$dir/r1a-clean.txt" "$dir/r4-clean.txt"
   cmp "$dir/m1a.json" "$dir/m4.json"
-  cmp "$dir/r1a-clean.txt" "$dir/re1-clean.txt"
-  cmp "$dir/m1a.json" "$dir/me1.json"
-  cmp "$dir/t1a.json" "$dir/te1.json"
-  cmp "$dir/r1a-clean.txt" "$dir/re4-clean.txt"
-  cmp "$dir/m1a.json" "$dir/me4.json"
-  # Unobserved runs (no --metrics, no --trace) on both engines: trials with
-  # no observer at all must reproduce the observed reference. Without
-  # --metrics the report lacks the "Instrumented breakdown" table (and the
-  # blank line before it); every other byte must match r1a-clean.txt.
+  cmp "$golden.txt" "$dir/r1a-clean.txt"
+  cmp "$golden.metrics.json" "$dir/m1a.json"
+  local trace_sha
+  trace_sha=$(sha256sum < "$dir/t1a.json" | cut -d ' ' -f 1)
+  if [[ "$trace_sha" != "$(cat "$golden.trace.sha256")" ]]; then
+    echo "determinism: trace SHA-256 $trace_sha differs from $golden.trace.sha256" >&2
+    return 1
+  fi
+  cmp "$golden.txt" "$dir/r4-clean.txt"
+  cmp "$golden.metrics.json" "$dir/m4.json"
+  # Unobserved runs (no --metrics, no --trace): trials with no observer at
+  # all must reproduce the golden. Without --metrics the report lacks the
+  # "Instrumented breakdown" table (and the blank line before it); every
+  # other byte must match the golden report.
   awk '
     /^Instrumented breakdown/ { skip = 1; borders = 0; blank = 0; next }
     skip { if (/^\+/ && ++borders == 3) skip = 0; next }
@@ -165,16 +167,15 @@ determinism_check() {
     /^$/ { blank = 1; next }
     { print }
     END { if (blank) print "" }
-  ' "$dir/r1a-clean.txt" > "$dir/r1a-tables.txt"
-  local engine threads
-  for engine in direct event; do
-    for threads in 1 4; do
-      XRES_TRIAL_ENGINE=$engine "$BUILD"/tools/xres "${args[@]}" --threads "$threads" \
-        > "$dir/ru-$engine$threads.txt"
-      cmp "$dir/r1a-tables.txt" "$dir/ru-$engine$threads.txt"
-    done
+  ' "$golden.txt" > "$dir/golden-tables.txt"
+  local threads
+  for threads in 1 4; do
+    "$BUILD"/tools/xres "${args[@]}" --threads "$threads" \
+      | "${filter[@]}" > "$dir/ru$threads.txt"
+    cmp "$dir/golden-tables.txt" "$dir/ru$threads.txt"
   done
-  echo "determinism: OK (repeat + threads 1 vs 4 + event engine + unobserved byte-identical)"
+  echo "determinism: OK (repeat + threads 1 vs 4 + unobserved byte-identical;" \
+    "cross-commit goldens matched)"
 }
 determinism_check
 stage_done determinism
@@ -450,10 +451,8 @@ fault_injection_check() {
 
   # Deterministic EIO/short-write/fsync sweep: every injected fault is
   # transient, so the retry policy must absorb all of them — exit 0 and
-  # byte-identical artifacts. Runs under the event-queue engine so the
-  # injected-fault sweep doubles as an engine cross-check against the
-  # direct-engine golden run.
-  XRES_TRIAL_ENGINE=event "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/eio" \
+  # byte-identical artifacts.
+  "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/eio" \
     --io-faults 7:0.05:eio,short,fsync > /dev/null 2> "$dir/eio.err"
   "$BUILD"/tools/xres suite verify --out-dir "$dir/eio"
   diff -r --exclude=journals --exclude=perf.json "$dir/ref" "$dir/eio"
@@ -570,9 +569,10 @@ surrogate_check
 stage_done surrogate
 
 # Opt-in full-catalog smoke: every registered study at tiny trial counts,
-# --threads 1 vs 2 and direct vs event engine, artifacts byte-compared,
-# plus the full surrogate differential matrix and the 200-config property
-# test (tier-1 ctest covers fast subsets of all three unconditionally).
+# --threads 1 vs 2, artifacts byte-compared, plus the full surrogate
+# differential matrix (the direct engine against the event-queue oracle,
+# plan knobs included) and the 200-config property test (tier-1 ctest
+# covers fast subsets of all three unconditionally).
 if [[ "${XRES_SMOKE_ALL:-0}" == "1" ]]; then
   XRES_SMOKE_ALL=1 "$BUILD"/tests/xres_tests \
     --gtest_filter='StudySmoke.FullCatalog*:SurrogateDiff.*:SurrogateProperty.*'
