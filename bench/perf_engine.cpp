@@ -1,5 +1,5 @@
-// google-benchmark microbenchmarks of the simulator substrates: event
-// queue, allocator, RNG/distributions, failure process, interval
+// google-benchmark microbenchmarks of the simulator substrates: pending-
+// event set, allocator, RNG/distributions, failure process, interval
 // optimizers, and end-to-end trial throughput. These guard the simulation
 // engine's performance (a full Figure 1-5 reproduction executes tens of
 // millions of events).
@@ -31,15 +31,20 @@ namespace {
 
 using namespace xres;
 
+// The BM_EventQueue* rows drive the Simulation's queued-callback API
+// (schedule_at / cancel / step): every queued callback is a phase-calendar
+// slot, so they measure slot open/publish, winner-tree repair and slab
+// dispatch.
+
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const auto batch = static_cast<std::uint64_t>(state.range(0));
   Pcg32 rng{1};
   for (auto _ : state) {
-    EventQueue queue;
+    Simulation sim;
     for (std::uint64_t i = 0; i < batch; ++i) {
-      queue.schedule(TimePoint::at(Duration::seconds(rng.next_double() * 1e6)), [] {});
+      sim.schedule_at(TimePoint::at(Duration::seconds(rng.next_double() * 1e6)), [] {});
     }
-    while (auto e = queue.pop()) benchmark::DoNotOptimize(e->time);
+    while (sim.step()) benchmark::DoNotOptimize(sim.now());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
@@ -48,18 +53,18 @@ BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(100000);
 
 void BM_EventQueueCancelHeavy(benchmark::State& state) {
   // The runtime cancels its pending event on every failure; measure the
-  // lazy-deletion path.
+  // cancel path (retract and close the slot).
   Pcg32 rng{2};
   for (auto _ : state) {
-    EventQueue queue;
+    Simulation sim;
     std::vector<EventId> ids;
     ids.reserve(10000);
     for (int i = 0; i < 10000; ++i) {
       ids.push_back(
-          queue.schedule(TimePoint::at(Duration::seconds(rng.next_double())), [] {}));
+          sim.schedule_at(TimePoint::at(Duration::seconds(rng.next_double())), [] {}));
     }
-    for (std::size_t i = 0; i < ids.size(); i += 2) queue.cancel(ids[i]);
-    while (auto e = queue.pop()) benchmark::DoNotOptimize(e->id);
+    for (std::size_t i = 0; i < ids.size(); i += 2) sim.cancel(ids[i]);
+    while (sim.step()) benchmark::DoNotOptimize(sim.now());
   }
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
@@ -67,31 +72,24 @@ BENCHMARK(BM_EventQueueCancelHeavy);
 void BM_EventQueueFailureStorm(benchmark::State& state) {
   // The failure-storm shape: every failure cancels the victim's pending
   // phase-completion event and schedules the replacement further out, with
-  // pops interleaved. Exercises schedule/cancel/pop together plus the
-  // compaction path that keeps dead entries from accumulating.
+  // firings interleaved. Exercises schedule/cancel/step together.
   constexpr std::uint32_t kApps = 256;
   Pcg32 rng{6};
   for (auto _ : state) {
-    EventQueue queue;
+    Simulation sim;
     std::array<EventId, kApps> pending{};
-    double now = 0.0;
     for (auto& id : pending) {
-      id = queue.schedule(TimePoint::at(Duration::seconds(rng.next_double() * 100.0)),
-                          [] {});
+      id = sim.schedule_at(TimePoint::at(Duration::seconds(rng.next_double() * 100.0)),
+                           [] {});
     }
     for (int i = 0; i < 20000; ++i) {
       const std::uint32_t victim = rng.next_below(kApps);
-      queue.cancel(pending[victim]);  // stale (already fired) ids are fine
-      pending[victim] = queue.schedule(
-          TimePoint::at(Duration::seconds(now + 1.0 + rng.next_double() * 100.0)), [] {});
-      if ((i & 3) == 0) {
-        if (auto e = queue.pop()) {
-          now = e->time.to_seconds();
-          benchmark::DoNotOptimize(e->id);
-        }
-      }
+      sim.cancel(pending[victim]);  // stale (already fired) ids are fine
+      pending[victim] = sim.schedule_after(
+          Duration::seconds(1.0 + rng.next_double() * 100.0), [] {});
+      if ((i & 3) == 0 && sim.step()) benchmark::DoNotOptimize(sim.now());
     }
-    while (auto e = queue.pop()) benchmark::DoNotOptimize(e->id);
+    while (sim.step()) benchmark::DoNotOptimize(sim.now());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 20000);
 }

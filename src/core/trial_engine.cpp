@@ -90,11 +90,11 @@ namespace {
 
 /// The direct engine's failure stream: AppFailureProcess's draws in its
 /// exact RNG order (the first gap at start(), then per delivery a severity
-/// sample followed by the next gap), published into a phase-calendar slot
-/// instead of the event queue. Each publish draws its insertion seq where
-/// AppFailureProcess's schedule_after would, so the trial's total event
-/// order — and every observable — matches the event-queue oracle
-/// (core/trial_engine.hpp), while the trial never touches the event heap.
+/// sample followed by the next gap), published into a calendar slot of its
+/// own instead of a queued callback. Each publish draws its insertion seq
+/// where AppFailureProcess's schedule_after would, so the trial's total
+/// event order — and every observable — matches the queued-callback oracle
+/// (core/trial_engine.hpp), while the trial builds no closure per failure.
 class CalendarFailureStream final : private CalendarClient {
  public:
   CalendarFailureStream(Simulation& sim, ResilientAppRuntime& runtime,
@@ -156,13 +156,11 @@ void run_direct(Simulation& sim, ResilientAppRuntime& runtime, CalendarSlot fail
     // The earlier of the failure and the wall-time cap. Neither slot
     // changes while phase boundaries fire (the failure slot is republished
     // only when it fires; the cap is retracted only when the run ends,
-    // which requests the stop), so it bounds a chain. A seq renumbering
-    // rewrites both entries in place and keeps their order, so the same
-    // slot stays the interrupt and \c bound stays current.
+    // which requests the stop), so it bounds a chain.
     const CalendarSlot interrupt =
         PhaseCalendar::earlier(sim.slot_entry(timeout), sim.slot_entry(failure)) ? timeout
                                                                                  : failure;
-    const PhaseCalendar::Entry& bound = sim.slot_entry(interrupt);
+    const PhaseCalendar::Entry bound = sim.slot_entry(interrupt);
     if (PhaseCalendar::earlier(sim.slot_entry(phase), bound)) {
       if (runtime.can_chain()) {
         executed = runtime.run_chain(bound, executed);

@@ -9,10 +9,10 @@
 /// (sim/phase_calendar.hpp), the one scheduling path shared with the
 /// workload engine, tests and examples; the failure stream draws
 /// AppFailureProcess's draws, in the same RNG order, into a calendar slot
-/// of its own, so the trial never touches the event heap; and a loop
-/// (run_direct), Simulation::run narrowed to the trial's three calendar
-/// slots, runs it. Severity models and plans are cached per thread, so no
-/// trial rebuilds them.
+/// of its own, so the trial queues no callback; and a loop (run_direct),
+/// Simulation::run narrowed to the trial's three calendar slots, runs it.
+/// Severity models and plans are cached per thread, so no trial rebuilds
+/// them.
 ///
 /// Between interrupts the loop hands the Working⇄Checkpointing alternation
 /// to ResilientAppRuntime::run_chain(). The chain keeps each next boundary
@@ -22,10 +22,10 @@
 /// Observed trials chain too: metrics and trace spans are recorded by that
 /// shared arithmetic.
 ///
-/// **The event-queue oracle.** The same trial can also be built from
-/// public parts: AppFailureProcess schedules each failure as an event-queue
-/// callback (sim/event_queue.hpp) and Simulation::run merges queue and
-/// calendar. That construction is not a production path. It is the
+/// **The queued-callback oracle.** The same trial can also be built from
+/// public parts: AppFailureProcess schedules each failure as a queued
+/// callback (Simulation::schedule_after) and Simulation::run fires the
+/// calendar's front. That construction is not a production path. It is the
 /// reference tests/surrogate_diff_test.cpp runs every trial of its matrix
 /// through, and the direct engine must match it in every observable:
 /// results, metrics including `sim_events`, traces, RNG draw order, seq
@@ -60,7 +60,7 @@ class Simulation;
 
 /// The direct engine's dispatch loop: Simulation::run narrowed to a trial
 /// whose every pending entry is one of \p runtime's two calendar slots or
-/// \p failure (the event queue stays empty), with the same watchdog
+/// \p failure (no callback is queued), with the same watchdog
 /// cadence, stop check and (time, seq) order. The front is found by
 /// comparing those three entries directly; the earlier of the failure and
 /// the wall-time cap bounds a ResilientAppRuntime::run_chain() over the
@@ -71,7 +71,7 @@ void run_direct(Simulation& sim, ResilientAppRuntime& runtime, CalendarSlot fail
 /// Fold one finished trial into its observer: counters/gauges from the
 /// ExecutionResult plus the trial-shape histograms, including the exact
 /// executed-event count. Shared with trace-replay trials and the
-/// event-queue oracle so the recorded metrics agree byte for byte.
+/// queued-callback oracle so the recorded metrics agree byte for byte.
 void record_trial_metrics(obs::TrialObs* obs, const ExecutionResult& r,
                           std::uint64_t sim_events);
 

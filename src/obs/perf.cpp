@@ -9,13 +9,12 @@ namespace xres::obs {
 namespace {
 
 // Trivially destructible, so flushes from static-storage destructors (late
-// EventQueue teardown) are safe in any order.
+// Simulation teardown) are safe in any order.
 struct GlobalCounters {
   std::atomic<std::uint64_t> events_scheduled{0};
   std::atomic<std::uint64_t> events_popped{0};
   std::atomic<std::uint64_t> events_direct{0};
   std::atomic<std::uint64_t> events_cancelled{0};
-  std::atomic<std::uint64_t> heap_compactions{0};
   std::atomic<std::uint64_t> watchdog_polls{0};
   std::atomic<std::uint64_t> journal_fsync_batches{0};
   std::atomic<std::uint64_t> trials_executed{0};
@@ -34,11 +33,10 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 }  // namespace
 
 void perf_add_engine(std::uint64_t scheduled, std::uint64_t popped,
-                     std::uint64_t cancelled, std::uint64_t compactions) {
+                     std::uint64_t cancelled) {
   if (scheduled != 0) g_counters.events_scheduled.fetch_add(scheduled, kRelaxed);
   if (popped != 0) g_counters.events_popped.fetch_add(popped, kRelaxed);
   if (cancelled != 0) g_counters.events_cancelled.fetch_add(cancelled, kRelaxed);
-  if (compactions != 0) g_counters.heap_compactions.fetch_add(compactions, kRelaxed);
 }
 
 void perf_add_simulation(std::uint64_t watchdog_polls, std::uint64_t direct_events) {
@@ -75,7 +73,6 @@ PerfCounters perf_snapshot() {
   out.events_popped = g_counters.events_popped.load(kRelaxed);
   out.events_direct = g_counters.events_direct.load(kRelaxed);
   out.events_cancelled = g_counters.events_cancelled.load(kRelaxed);
-  out.heap_compactions = g_counters.heap_compactions.load(kRelaxed);
   out.watchdog_polls = g_counters.watchdog_polls.load(kRelaxed);
   out.journal_fsync_batches = g_counters.journal_fsync_batches.load(kRelaxed);
   out.trials_executed = g_counters.trials_executed.load(kRelaxed);
@@ -95,7 +92,6 @@ PerfCounters perf_delta(const PerfCounters& since) {
   out.events_popped = now.events_popped - since.events_popped;
   out.events_direct = now.events_direct - since.events_direct;
   out.events_cancelled = now.events_cancelled - since.events_cancelled;
-  out.heap_compactions = now.heap_compactions - since.heap_compactions;
   out.watchdog_polls = now.watchdog_polls - since.watchdog_polls;
   out.journal_fsync_batches =
       now.journal_fsync_batches - since.journal_fsync_batches;

@@ -22,15 +22,21 @@ namespace xres::obs {
 
 /// One coherent reading of every global counter.
 struct PerfCounters {
+  /// Callbacks queued with Simulation::schedule_at/schedule_after.
   std::uint64_t events_scheduled{0};
-  /// Events dispatched by popping the event heap.
+  /// Queued callbacks dispatched (arrivals, deadlines, failures, PFS
+  /// completions; sim/simulation.hpp).
   std::uint64_t events_popped{0};
-  /// Events dispatched without touching the heap: phase-calendar slots
-  /// (application phase boundaries and wall-time caps, and the direct
-  /// trial engine's failure stream; sim/simulation.hpp). popped + direct
-  /// is every executed simulation event.
+  /// Events dispatched to a calendar client with no queued callback:
+  /// application phase boundaries and wall-time caps, and the direct trial
+  /// engine's failure stream. popped + direct is every executed simulation
+  /// event.
   std::uint64_t events_direct{0};
+  /// Queued callbacks cancelled before they fired.
   std::uint64_t events_cancelled{0};
+  /// Always 0: a cancel retracts its calendar slot, so the pending-event
+  /// set holds no dead entries to compact. The field stays for readers of
+  /// the counter set (perfbench reports it).
   std::uint64_t heap_compactions{0};
   std::uint64_t watchdog_polls{0};
   std::uint64_t journal_fsync_batches{0};
@@ -48,18 +54,19 @@ struct PerfCounters {
   std::uint64_t surrogate_hits{0};
   std::uint64_t surrogate_fallbacks{0};
 
-  /// Every executed simulation event: heap pops plus direct dispatches.
+  /// Every executed simulation event: queued plus direct dispatches.
   [[nodiscard]] std::uint64_t events_executed() const {
     return events_popped + events_direct;
   }
 };
 
-/// Flush one event-queue's lifetime tallies (called from ~EventQueue).
+/// Flush one simulation's queued-callback tallies (called from
+/// ~Simulation).
 void perf_add_engine(std::uint64_t scheduled, std::uint64_t popped,
-                     std::uint64_t cancelled, std::uint64_t compactions);
+                     std::uint64_t cancelled);
 
-/// Flush one simulation's watchdog-poll and calendar-dispatch tallies
-/// (called from ~Simulation).
+/// Flush one simulation's watchdog-poll and calendar-client-dispatch
+/// tallies (called from ~Simulation).
 void perf_add_simulation(std::uint64_t watchdog_polls, std::uint64_t direct_events);
 
 /// Count one journal fsync batch (called at each successful flush_to_disk).

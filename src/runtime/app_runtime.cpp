@@ -343,7 +343,7 @@ void ResilientAppRuntime::on_checkpoint_done() {
   enter_working();
 }
 
-std::uint64_t ResilientAppRuntime::run_chain(const PhaseCalendar::Entry& bound,
+std::uint64_t ResilientAppRuntime::run_chain(PhaseCalendar::Entry bound,
                                              std::uint64_t executed) {
   XRES_CHECK(can_chain(), "run_chain outside a Working/Checkpointing phase");
   // A PFS device completes shared-file-system checkpoints itself.
@@ -367,8 +367,6 @@ std::uint64_t ResilientAppRuntime::run_chain(const PhaseCalendar::Entry& bound,
       finish_checkpoint();
       if (!begin_working(length)) return executed;
     }
-    // A draw that renumbers rewrites \p bound in place; the boundary just
-    // fired was the only held entry and is no longer pending.
     next = sim_.draw_entry(phase_slot_, length);
     if (!PhaseCalendar::earlier(next, bound)) {
       sim_.publish_entry(phase_slot_, next);

@@ -23,8 +23,9 @@
 /// handler from the current phase. `on_failure` retracts it and
 /// transitions. The one exception is a phase that moves data through a
 /// shared PFS device (set_pfs_transfer_service): the device owns that
-/// phase's completion event, and its callback enters the next phase, which
-/// publishes into the calendar again.
+/// phase's completion, a callback it queues (Simulation::schedule_at, one
+/// more calendar slot), and that callback enters the next phase, which
+/// publishes the phase slot again.
 ///
 /// A loop that owns every other pending entry (the direct trial engine)
 /// may instead dispatch the Working⇄Checkpointing alternation itself
@@ -141,16 +142,13 @@ class ResilientAppRuntime final : private CalendarClient {
   /// on_calendar() runs, and one seq draw, the next boundary staying in a
   /// local instead of the calendar. The chain stops at the first boundary
   /// not before \p bound (published, so the caller's loop resumes) or when
-  /// the run completes. \p bound is read afresh for every boundary, so it
-  /// must refer to the interrupt's live calendar entry
-  /// (Simulation::slot_entry): a seq draw that renumbers rewrites it in
-  /// place, keeping its order against the boundary drawn next. Polls the
-  /// watchdog every 4096 events exactly as Simulation::run does, counting
-  /// from \p executed; returns the updated count. Requires can_chain(), no
-  /// PFS transfer service, the phase boundary strictly before \p bound,
-  /// and \p bound's slot unchanged while only phase boundaries fire (the
-  /// caller owns every other pending entry).
-  std::uint64_t run_chain(const PhaseCalendar::Entry& bound, std::uint64_t executed);
+  /// the run completes. Polls the watchdog every 4096 events exactly as
+  /// Simulation::run does, counting from \p executed; returns the updated
+  /// count. Requires can_chain(), no PFS transfer service, the phase
+  /// boundary strictly before \p bound, and \p bound's slot unchanged
+  /// while only phase boundaries fire (the caller owns every other pending
+  /// entry).
+  std::uint64_t run_chain(PhaseCalendar::Entry bound, std::uint64_t executed);
 
   /// The recorded timeline, or nullptr when recording was not enabled.
   [[nodiscard]] const Timeline* timeline() const {

@@ -16,8 +16,8 @@
 ///
 /// Dispatch is a single ops-table pointer (invoke / relocate / destroy), so
 /// an engaged callback is exactly one branch + one indirect call, and the
-/// whole object is 56 bytes — an event slot (callback + bookkeeping, see
-/// event_queue.hpp) fits one cache line.
+/// whole object is 56 bytes — a queued callback's slab cell (callback +
+/// slot generation, see simulation.hpp) fits one cache line.
 
 #include <cstddef>
 #include <cstring>

@@ -13,7 +13,7 @@ CalendarSlot PhaseCalendar::open(CalendarClient* client, std::uint32_t tag) {
     index = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    XRES_CHECK(slots_.size() < 0x7FFFFFFFU, "phase calendar slot space exhausted");
+    XRES_CHECK(slots_.size() < kMaxSlots, "phase calendar slot space exhausted");
     if (slots_.size() == capacity_) grow();
     index = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
@@ -21,6 +21,12 @@ CalendarSlot PhaseCalendar::open(CalendarClient* client, std::uint32_t tag) {
   slots_[index].client = client;
   slots_[index].tag = tag;
   return CalendarSlot{index};
+}
+
+CalendarSlot PhaseCalendar::open(CalendarClient* client) {
+  const CalendarSlot slot = open(client, 0);
+  slots_[static_cast<std::uint32_t>(slot)].tag = static_cast<std::uint32_t>(slot);
+  return slot;
 }
 
 void PhaseCalendar::close(CalendarSlot slot) {
@@ -58,17 +64,12 @@ void PhaseCalendar::repair() {
   dirty_.clear();
 }
 
-std::size_t PhaseCalendar::size() const {
-  return static_cast<std::size_t>(std::count_if(
-      entries_.begin(), entries_.end(), [](const Entry& e) { return e.published(); }));
-}
-
 void PhaseCalendar::grow() {
   capacity_ = std::max<std::size_t>(4, 2 * capacity_);
   entries_.resize(capacity_, kNoEntry);
   slots_.reserve(capacity_);
   dirty_.reserve(capacity_);
-  refresh_tree();
+  if (tree_built_) rebuild();
 }
 
 void PhaseCalendar::rebuild() {
@@ -82,12 +83,6 @@ void PhaseCalendar::rebuild() {
     const EventKey& left = tree_[2 * node];
     const EventKey& right = tree_[2 * node + 1];
     tree_[node] = xres::earlier(right, left) ? right : left;
-  }
-}
-
-void PhaseCalendar::collect_orders(std::vector<std::uint64_t*>& out) {
-  for (Entry& entry : entries_) {
-    if (entry.published()) out.push_back(&entry.order);
   }
 }
 

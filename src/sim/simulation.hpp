@@ -1,41 +1,62 @@
 #pragma once
 
 /// \file simulation.hpp
-/// The discrete-event simulation engine: a clock, an event queue and a
-/// phase calendar.
+/// The discrete-event simulation engine: a clock over one pending-event
+/// set, the phase calendar.
 ///
 /// A Simulation owns simulated time. Model components schedule callbacks at
 /// absolute or relative times; the engine executes them in deterministic
 /// order (time, then insertion order) and advances the clock monotonically.
 /// Scheduling into the past is a programming error and throws.
 ///
-/// Two containers feed that one order:
-///  * the event queue (sim/event_queue.hpp) holds arbitrary callbacks —
-///    arrivals, deadlines, failures, PFS device completions;
-///  * the phase calendar (sim/phase_calendar.hpp) holds per-client timer
-///    slots — each application runtime's next phase boundary and its
-///    wall-time cap — with no closure per publish.
-/// Both draw their seqs from the queue's single insertion counter, so a
-/// calendar publish and a schedule() issued in some order fire in that
-/// order on a time tie, exactly as if both had been queued. step() pops
-/// whichever container's front comes first; every dispatch, from either,
-/// counts as one executed event. The queue renumbers the seqs of both
-/// before the 32-bit counter wraps (EventQueue::renumber_seqs).
+/// Every pending event is a slot of the phase calendar
+/// (sim/phase_calendar.hpp):
+///  * per-client timer slots — each application runtime's next phase
+///    boundary and its wall-time cap — published with no closure;
+///  * queued callbacks — arrivals, deadlines, failures, PFS device
+///    completions — each in a slot the Simulation opens for itself, with
+///    the callback waiting in a slab indexed by slot.
+/// Every publish and every schedule() draws one seq from the single
+/// insertion counter, so they fire in issue order on a time tie. step()
+/// fires the calendar's front; every dispatch counts as one executed event.
+/// A seq is 40 bits and never reused; the draw after 2^40 throws.
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
-#include "sim/event_queue.hpp"
+#include "sim/callback.hpp"
 #include "sim/phase_calendar.hpp"
 #include "util/units.hpp"
 
 namespace xres {
 
-class Simulation {
+/// Handle identifying a scheduled callback; unique within one Simulation's
+/// lifetime. Never zero for a real event, so a value-initialized EventId is
+/// a safe "no event" sentinel that cancel()/pending() reject.
+enum class EventId : std::uint64_t {};
+
+}  // namespace xres
+
+template <>
+struct std::hash<xres::EventId> {
+  std::size_t operator()(xres::EventId id) const noexcept {
+    return std::hash<std::uint64_t>{}(static_cast<std::uint64_t>(id));
+  }
+};
+
+namespace xres {
+
+/// Action executed when an event fires.
+using EventCallback = SmallCallback;
+
+class Simulation : private CalendarClient {
  public:
-  Simulation() = default;
-  /// Flushes the watchdog-poll and calendar-dispatch tallies into the
-  /// process-global perf counters.
+  Simulation();
+  /// Flushes the lifetime tallies (schedules, queued dispatches, cancels,
+  /// watchdog polls, calendar dispatches) into the process-global perf
+  /// counters.
   ~Simulation();
 
   // The engine hands out raw pointers/references to itself; moving it would
@@ -52,11 +73,14 @@ class Simulation {
   /// Schedule \p callback \p delay from now (delay >= 0).
   EventId schedule_after(Duration delay, EventCallback callback);
 
-  /// Cancel a pending event; returns true if it had not yet fired.
-  bool cancel(EventId id) { return queue_.cancel(id); }
+  /// Cancel a pending callback: retract and close its slot. Returns true if
+  /// it was still pending (false if it already fired, was already
+  /// cancelled, or belongs to a different Simulation). O(1).
+  bool cancel(EventId id);
 
-  /// True if \p id is still pending.
-  [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
+  /// True if \p id is still pending. Ids from other Simulations, fired
+  /// callbacks and cancelled ones all report false. O(1).
+  [[nodiscard]] bool pending(EventId id) const;
 
   // ---- phase calendar ----
 
@@ -84,9 +108,8 @@ class Simulation {
 
   /// \p slot's calendar entry (PhaseCalendar::Entry). With fire_slot()
   /// and count_watchdog_poll(), this lets a loop that owns every pending
-  /// entry — the direct trial engine, whose queue stays empty — find the
-  /// front among a few known slots itself (PhaseCalendar::earlier). The
-  /// reference is to live storage: a seq renumbering rewrites it.
+  /// entry — the direct trial engine, which queues no callback — find the
+  /// front among a few known slots itself (PhaseCalendar::earlier).
   [[nodiscard]] const PhaseCalendar::Entry& slot_entry(CalendarSlot slot) const {
     return calendar_.entry(slot);
   }
@@ -121,12 +144,10 @@ class Simulation {
   // of publishing every entry.
 
   /// The entry publish_after(\p slot, \p delay) would store, for the
-  /// caller to hold: draws one seq. A draw may first renumber every pending
-  /// seq (in place, so slot_entry() references stay current), so a holder
-  /// must not keep a held entry or copies of pending ones across it.
+  /// caller to hold: draws one seq.
   [[nodiscard]] PhaseCalendar::Entry draw_entry(CalendarSlot slot, Duration delay) {
     if (!(delay >= Duration::zero())) [[unlikely]] reject_delay(delay);
-    return PhaseCalendar::make_entry(slot, now_ + delay, queue_.draw_seq());
+    return PhaseCalendar::make_entry(slot, now_ + delay, draw_seq());
   }
 
   /// Publish \p entry, drawn by draw_entry() for \p slot and never
@@ -148,7 +169,7 @@ class Simulation {
   /// Returns false when no events remain (clock unchanged).
   bool step();
 
-  /// Run until both containers drain or request_stop() is called.
+  /// Run until the calendar drains or request_stop() is called.
   /// \p max_events guards against runaway models (0 = unlimited).
   void run(std::uint64_t max_events = 0);
 
@@ -160,20 +181,64 @@ class Simulation {
   void request_stop() { stop_requested_ = true; }
   [[nodiscard]] bool stop_requested() const { return stop_requested_; }
 
-  /// Number of pending events: queued plus published calendar slots.
-  [[nodiscard]] std::size_t pending_events() const {
-    return queue_.size() + calendar_.size();
-  }
+  /// Number of pending events: published calendar slots, queued callbacks
+  /// included.
+  [[nodiscard]] std::size_t pending_events() const { return calendar_.size(); }
 
-  /// Total events executed since construction, from either container.
+  /// Total events executed since construction.
   [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
 
  private:
-  /// Test-only access to the shared insertion counter.
+  /// Test-only access to the insertion counter.
   friend class SeqCounterTestPeer;
 
-  /// Throws the negative-delay CheckError (kept out of the inline path).
+  // EventId bit layout: [63:48] Simulation salt, [47:24] slot generation,
+  // [23:0] slot index (the calendar caps slots below 2^24). A slot's
+  // generation is odd while a queued callback is pending in it and even
+  // otherwise — ids are only ever minted from odd generations, so a single
+  // masked compare answers "pending?". The 24-bit generation wraps after
+  // 2^23 reuses of one slot, after which a stale id could in principle
+  // alias — far beyond any realistic cancel pattern between two uses of the
+  // same handle.
+  static constexpr std::uint64_t kIndexBits = PhaseCalendar::kSlotBits;
+  static constexpr std::uint64_t kGenBits = 24;
+  static constexpr std::uint64_t kIndexMask = (1ULL << kIndexBits) - 1;
+  static constexpr std::uint64_t kGenMask = (1ULL << kGenBits) - 1;
+
+  /// The slab cell of a queued callback, padded to a cache line so
+  /// neighbouring callbacks never share one. `generation` persists while
+  /// the slot serves other clients, so stale ids stay dead.
+  struct alignas(64) QueuedSlot {
+    EventCallback callback;
+    std::uint32_t generation{0};
+  };
+
+  /// Dispatch of a queued callback: its slot's tag is the slot index.
+  void on_calendar(std::uint32_t index) override;
+
+  /// Draw the next insertion seq.
+  std::uint64_t draw_seq() {
+    if (next_seq_ == PhaseCalendar::kSeqLimit) [[unlikely]] reject_seq_exhausted();
+    return next_seq_++;
+  }
+
+  /// schedule_at()/schedule_after() once \p when is checked.
+  EventId enqueue(TimePoint when, EventCallback callback);
+
+  [[nodiscard]] EventId encode(std::uint32_t index, std::uint32_t generation) const {
+    return EventId{(salt_ << (kIndexBits + kGenBits)) |
+                   ((static_cast<std::uint64_t>(generation) & kGenMask) << kIndexBits) |
+                   index};
+  }
+
+  /// The slab cell \p id names while its callback is pending, else null
+  /// (fired, cancelled, stale, foreign or never minted).
+  [[nodiscard]] const QueuedSlot* find_pending(EventId id) const;
+
+  /// Throw the negative-delay / seq-exhausted CheckErrors (kept out of the
+  /// inline paths).
   [[noreturn]] static void reject_delay(Duration delay);
+  [[noreturn]] static void reject_seq_exhausted();
 
   /// fire_slot()'s bookkeeping: clock, event credit, unpublish.
   PhaseCalendar::Fired take_slot(CalendarSlot slot) {
@@ -181,13 +246,20 @@ class Simulation {
     return calendar_.fire(slot);
   }
 
-  // Declared before queue_: the queue holds a pointer to it.
   PhaseCalendar calendar_;
-  EventQueue queue_{&calendar_};
+  /// Queued callbacks, indexed by calendar slot.
+  std::vector<QueuedSlot> queued_;
+  std::uint64_t salt_;  ///< per-Simulation id tag; see find_pending()
+  std::uint64_t next_seq_{0};
   TimePoint now_{TimePoint::origin()};
   std::uint64_t events_processed_{0};
-  std::uint64_t watchdog_polls_{0};  ///< flushed by the destructor
   bool stop_requested_{false};
+
+  // Lifetime telemetry, flushed once by the destructor.
+  std::uint64_t watchdog_polls_{0};
+  std::uint64_t stat_scheduled_{0};
+  std::uint64_t stat_dispatched_{0};  ///< queued callbacks run
+  std::uint64_t stat_cancelled_{0};
 };
 
 }  // namespace xres

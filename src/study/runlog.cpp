@@ -10,19 +10,13 @@
 #include "recovery/json_parse.hpp"
 #include "util/cli.hpp"
 #include "util/framed_line.hpp"
+#include "xres_build_id.hpp"
 
 namespace xres::study {
 
 namespace {
 
 constexpr std::string_view kLedgerKind = "xres-run-v1";
-
-std::string trim(const std::string& s) {
-  const std::size_t begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
-  const std::size_t end = s.find_last_not_of(" \t\r\n");
-  return s.substr(begin, end - begin + 1);
-}
 
 /// Find the record whose id is \p needle, or the unique record whose id
 /// starts with it. Exits with a usage error on no match / ambiguity.
@@ -187,19 +181,8 @@ std::vector<obs::RunRecord> load_ledger(const std::string& path,
 }
 
 const std::string& build_describe() {
-  static const std::string cached = [] {
-    std::string describe = "unknown";
-    if (std::FILE* pipe = ::popen("git describe --always --dirty 2>/dev/null", "r")) {
-      char buf[128] = {};
-      if (std::fgets(buf, sizeof buf, pipe) != nullptr) {
-        const std::string line = trim(buf);
-        if (!line.empty()) describe = line;
-      }
-      ::pclose(pipe);
-    }
-    return describe;
-  }();
-  return cached;
+  static const std::string id = XRES_BUILD_ID;
+  return id;
 }
 
 RunComparison compare_runs(const obs::RunRecord& a, const obs::RunRecord& b,

@@ -34,9 +34,10 @@ struct LedgerScanStats {
 /// on malformed or non-ledger records.
 [[nodiscard]] obs::RunRecord parse_run_record(const std::string& record_json);
 
-/// git-describe-style build id of this checkout ("unknown" outside a git
-/// repo). Cached after the first call; shared by ledger records and suite
-/// manifests.
+/// `git describe --always --dirty` of the source tree this binary was
+/// built from, taken at build time ("unknown" when it was not a git
+/// checkout); independent of the run's working directory. Shared by ledger
+/// records and suite manifests.
 [[nodiscard]] const std::string& build_describe();
 
 /// How two ledger records compare on their *deterministic* identity.

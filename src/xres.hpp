@@ -17,7 +17,7 @@
 #include "util/units.hpp"
 
 // Discrete-event engine
-#include "sim/event_queue.hpp"
+#include "sim/phase_calendar.hpp"
 #include "sim/simulation.hpp"
 
 // Platform model

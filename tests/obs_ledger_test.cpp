@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -331,6 +332,54 @@ TEST(ObsLedger, EngineCountersThreadInvariantAndBannersDoNotLeak) {
   EXPECT_EQ(stats.valid_records, 2U);
   ASSERT_EQ(records.size(), 2U);
   EXPECT_EQ(records[0].counters, records[1].counters);
+}
+
+/// First line a shell command prints ("" when it prints nothing).
+std::string first_line_of(const std::string& command) {
+  std::string line;
+  if (std::FILE* pipe = ::popen(command.c_str(), "r")) {
+    char buf[256] = {};
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) line = buf;
+    ::pclose(pipe);
+  }
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) line.pop_back();
+  return line;
+}
+
+/// \p id without a trailing "-dirty": the tree may be edited between the
+/// build and the test run.
+std::string commit_part(std::string id) {
+  const std::string dirty = "-dirty";
+  if (id.size() > dirty.size() && id.ends_with(dirty)) id.resize(id.size() - dirty.size());
+  return id;
+}
+
+TEST(ObsLedger, BuildIdIsTheCheckoutsWhateverTheWorkingDirectory) {
+  // A run started outside any git repository records the id of the
+  // checkout it was built from, not "unknown" and not its working
+  // directory's.
+  const study::StudyDefinition* def =
+      study::StudyRegistry::instance().find("fig1_efficiency_a32");
+  ASSERT_NE(def, nullptr);
+  const std::string dir = temp_path("ledger_build_id_cwd");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(first_line_of("git -C '" + dir + "' rev-parse --git-dir 2>/dev/null"), "")
+      << dir << " lies inside a git repository";
+  const std::string checkout =
+      first_line_of("git -C '" XRES_TEST_DATA_DIR "' describe --always --dirty 2>/dev/null");
+
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  const LedgeredRun run = run_ledgered(*def, 1, dir + "/ledger.jsonl");
+  std::filesystem::current_path(cwd);
+  ASSERT_EQ(run.exit_code, 0);
+  EXPECT_EQ(run.record.build, study::build_describe());
+  if (checkout.empty()) {
+    EXPECT_FALSE(run.record.build.empty());  // no git here: nothing to match
+  } else {
+    EXPECT_EQ(commit_part(run.record.build), commit_part(checkout));
+  }
 }
 
 }  // namespace

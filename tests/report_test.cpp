@@ -1,6 +1,6 @@
 // Tests for markdown study reports and the Table markdown renderer, plus
-// randomized cross-checks of the event queue against a reference model
-// and a workload-engine accounting fuzz.
+// randomized cross-checks of the Simulation's queued events against a
+// reference model and a workload-engine accounting fuzz.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 
 #include "core/report.hpp"
 #include "core/workload_engine.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/simulation.hpp"
 #include "util/check.hpp"
 #include "util/io.hpp"
 #include "util/rng.hpp"
@@ -72,13 +72,15 @@ TEST(StudyReport, RejectsEmptyInputs) {
   EXPECT_THROW(report.add_config("", "v"), CheckError);
 }
 
-/// Randomized differential test: EventQueue vs. a naive sorted reference.
+/// Randomized differential test: the Simulation's queued events vs. a
+/// naive sorted reference.
 class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EventQueueFuzz, MatchesReferenceModel) {
   Pcg32 rng{GetParam()};
-  EventQueue queue;
-  // Reference: (time, seq, id) tuples, manually sorted at pop time.
+  Simulation sim;
+  // Reference: (time, seq, id) tuples, manually sorted at fire time; the
+  // seq doubles as the callback's token.
   struct Ref {
     double time;
     std::uint64_t seq;
@@ -86,19 +88,21 @@ TEST_P(EventQueueFuzz, MatchesReferenceModel) {
   };
   std::vector<Ref> reference;
   std::uint64_t seq = 0;
-  std::vector<EventId> order_popped;
-  std::vector<EventId> order_expected;
+  std::vector<std::uint64_t> order_fired;
+  std::vector<std::uint64_t> order_expected;
 
   for (int step = 0; step < 3000; ++step) {
     const double p = rng.next_double();
     if (p < 0.5) {
-      const double t = rng.uniform(0.0, 1000.0);
-      const EventId id = queue.schedule(TimePoint::at(Duration::seconds(t)), [] {});
+      const double t = sim.now().to_seconds() + rng.uniform(0.0, 1000.0);
+      const std::uint64_t token = seq;
+      const EventId id = sim.schedule_at(TimePoint::at(Duration::seconds(t)),
+                                         [&order_fired, token] { order_fired.push_back(token); });
       reference.push_back(Ref{t, seq++, id});
     } else if (p < 0.65 && !reference.empty()) {
       const auto idx = static_cast<std::size_t>(
           rng.next_below(static_cast<std::uint32_t>(reference.size())));
-      EXPECT_TRUE(queue.cancel(reference[idx].id));
+      EXPECT_TRUE(sim.cancel(reference[idx].id));
       reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(idx));
     } else if (!reference.empty()) {
       auto best = std::min_element(reference.begin(), reference.end(),
@@ -106,15 +110,14 @@ TEST_P(EventQueueFuzz, MatchesReferenceModel) {
                                      if (a.time != b.time) return a.time < b.time;
                                      return a.seq < b.seq;
                                    });
-      order_expected.push_back(best->id);
-      auto fired = queue.pop();
-      ASSERT_TRUE(fired.has_value());
-      order_popped.push_back(fired->id);
+      order_expected.push_back(best->seq);
+      ASSERT_TRUE(sim.step());
+      EXPECT_FALSE(sim.pending(best->id));
       reference.erase(best);
     }
-    ASSERT_EQ(queue.size(), reference.size());
+    ASSERT_EQ(sim.pending_events(), reference.size());
   }
-  EXPECT_EQ(order_popped, order_expected);
+  EXPECT_EQ(order_fired, order_expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,

@@ -413,7 +413,7 @@ struct DispatchRun {
   std::vector<PhaseSpan> spans;
 };
 
-/// Run \p plan against \p steps on a fresh Simulation whose shared seq
+/// Run \p plan against \p steps on a fresh Simulation whose seq
 /// counter starts at \p first_seq: through run_direct() when \p chained,
 /// through Simulation::run() otherwise. \p publish_first publishes the
 /// first step before the runtime starts (its seq precedes every boundary's).
@@ -515,25 +515,25 @@ TEST(RuntimeChain, WallTimeCapTiedWithABoundaryStopsTheChain) {
 
 TEST(RuntimeChain, SeqRenumberingInsideAChainKeepsTheTieOrder) {
   // The failure at 22 takes seq 2^32 - 3, the first boundary 2^32 - 2 and
-  // the boundary at 12 2^32 - 1. Drawing the boundary at 22 (when 12
-  // fires, inside a chain) renumbers every pending seq: the failure
-  // becomes 0 and the boundary 1. A chain that kept comparing against the
-  // failure's old seq would fire the boundary first; the failure must
-  // still land in Working, exactly as calendar dispatch has it.
-  const std::uint64_t first_seq = 0xFFFFFFFFULL - 2;
+  // the boundary at 12 2^32 - 1. The boundary at 22 is drawn inside a
+  // chain (when 12 fires) and takes seq 2^32, past where a 32-bit seq
+  // would wrap or need renumbering. It still orders after the failure's
+  // seq, so the failure must land in Working, exactly as calendar dispatch
+  // has it.
+  const std::uint64_t first_seq = (std::uint64_t{1} << 32) - 3;
   const std::vector<ScriptedFailures::Step> steps{{22.0, true}, {40.0, true}};
   const DispatchRun chained = run_dispatch(true, tiny_plan(), steps, true, first_seq);
   const DispatchRun calendar = run_dispatch(false, tiny_plan(), steps, true, first_seq);
   expect_same_dispatch(chained, calendar);
   ASSERT_EQ(chained.hit_phases.size(), 2U);
   EXPECT_EQ(chained.hit_phases.front(), Phase::kWorking);
-  // Without a wrap the two dispatches agree with the wrapped ones.
+  // Started at seq 0, the run agrees with the one that crosses 2^32.
   expect_same_dispatch(chained, run_dispatch(true, tiny_plan(), steps, true));
 }
 
 TEST(RuntimeChain, ChainedAndCalendarDispatchAgreeOnAFailureStorm) {
   // Failures in every phase, including ties with boundaries on both sides
-  // and a failure during the restart, with the counter crossing the wrap
+  // and a failure during the restart, with the counter crossing 2^32
   // midway through the run. A run that records a timeline chains too
   // (the spans are written by the shared boundary arithmetic) and must
   // record the same spans.
@@ -541,7 +541,7 @@ TEST(RuntimeChain, ChainedAndCalendarDispatchAgreeOnAFailureStorm) {
   for (const double t : {5.0, 11.0, 22.0, 25.0, 26.0, 47.0, 60.0, 60.0, 83.5, 99.0}) {
     steps.push_back({t, true});
   }
-  for (const std::uint64_t first_seq : {std::uint64_t{0}, std::uint64_t{0xFFFFFFFFULL - 20}}) {
+  for (const std::uint64_t first_seq : {std::uint64_t{0}, (std::uint64_t{1} << 32) - 21}) {
     for (const bool publish_first : {true, false}) {
       for (const bool timeline : {false, true}) {
         const DispatchRun chained =

@@ -1,7 +1,7 @@
 #pragma once
 
-// Test-only access to a Simulation's shared insertion counter, so a test
-// can start just below the 32-bit seq wrap (EventQueue::renumber_seqs).
+// Test-only access to a Simulation's insertion counter, so a test can start
+// it past 2^32 or just below its 2^40 limit.
 
 #include <cstdint>
 
@@ -9,14 +9,11 @@
 
 namespace xres {
 
-/// Reaches the shared insertion counter (EventQueue::next_seq_ inside a
-/// Simulation); a friend of both classes.
+/// Reaches Simulation::next_seq_; a friend of Simulation.
 class SeqCounterTestPeer {
  public:
-  static void preset(Simulation& sim, std::uint64_t next_seq) {
-    sim.queue_.next_seq_ = next_seq;
-  }
-  static std::uint64_t next_seq(const Simulation& sim) { return sim.queue_.next_seq_; }
+  static void preset(Simulation& sim, std::uint64_t next_seq) { sim.next_seq_ = next_seq; }
+  static std::uint64_t next_seq(const Simulation& sim) { return sim.next_seq_; }
 };
 
 }  // namespace xres

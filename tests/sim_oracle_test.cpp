@@ -1,26 +1,27 @@
-// Differential oracle test for the event-queue kernel.
+// Differential oracle test for the simulation's pending-event set.
 //
-// Drives ~1M randomized schedule/cancel/pop/pending operations against the
-// real EventQueue and, in lockstep, a deliberately naive reference model (a
+// Drives ~1M randomized schedule/cancel/step/pending operations against a
+// real Simulation and, in lockstep, a deliberately naive reference model (a
 // std::map ordered by the contractual (time, insertion-seq) key). Every
-// observable — pop order, fired ids/times/callbacks, cancel and pending
-// return values, size, next_time — must match the model exactly. The op mix
-// leans on the cases that broke heaps before: same-timestamp bursts (ties
-// must break by insertion order), cancel-after-fire, stale handles, and
-// cancel storms dense enough to trigger heap compaction.
+// observable — firing order, fired callbacks and clock times, cancel and
+// pending return values, pending count — must match the model exactly.
+// The op mix leans on the cases that broke heaps before: same-timestamp
+// bursts (ties must break by insertion order), cancel-after-fire, stale
+// handles, and cancel storms that retract most of what was scheduled.
 //
 // This test also runs under TSAN (tools/tier1.sh) to shake out undefined
 // behavior in the slab/tag machinery.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace xres {
@@ -43,48 +44,51 @@ struct TrackedId {
 
 void run_ops(std::uint64_t seed, std::uint64_t ops) {
   Pcg32 rng{seed};
-  EventQueue queue;
+  Simulation sim;
   Oracle oracle;
   std::vector<TrackedId> handles;  // includes fired/cancelled (stale) ids
   std::vector<std::uint64_t> fired_tokens;
   std::uint64_t next_token = 1;
   std::uint64_t next_seq = 0;
+  std::unordered_map<std::uint64_t, EventId> token_id;  // live tokens only
 
   const auto schedule_one = [&] {
     // Quantized times with decent probability of collision: same-timestamp
-    // bursts must pop in insertion order.
+    // bursts must fire in insertion order. Times never precede the clock.
+    const double now = sim.now().to_seconds();
     double t;
     if (rng.bernoulli(0.5)) {
-      t = static_cast<double>(rng.uniform_int(0, 40));  // heavy ties
+      t = std::ceil(now) + static_cast<double>(rng.uniform_int(0, 40));  // heavy ties
     } else {
-      t = rng.next_double() * 1000.0;
+      t = now + rng.next_double() * 1000.0;
     }
     const std::uint64_t token = next_token++;
     const EventId id =
-        queue.schedule(at(t), [&fired_tokens, token] { fired_tokens.push_back(token); });
+        sim.schedule_at(at(t), [&fired_tokens, token] { fired_tokens.push_back(token); });
     const RefKey key{t, next_seq++};
     oracle.live.emplace(key, token);
     oracle.token_key.emplace(token, key);
     handles.push_back(TrackedId{id, token});
+    token_id.emplace(token, id);
   };
 
   const auto pop_one = [&] {
-    auto fired = queue.pop();
+    const std::size_t before = fired_tokens.size();
+    const bool fired = sim.step();
     if (oracle.live.empty()) {
-      ASSERT_FALSE(fired.has_value());
+      ASSERT_FALSE(fired);
       return;
     }
-    ASSERT_TRUE(fired.has_value());
+    ASSERT_TRUE(fired);
     const auto front = oracle.live.begin();
-    EXPECT_EQ(fired->time, at(front->first.first));
+    EXPECT_EQ(sim.now(), at(front->first.first));
     const std::uint64_t expect_token = front->second;
-    const std::size_t before = fired_tokens.size();
-    fired->callback();
     ASSERT_EQ(fired_tokens.size(), before + 1);
     EXPECT_EQ(fired_tokens.back(), expect_token);
     // The handle we recorded at schedule time must be the one that fired,
     // and it must be dead from here on.
-    EXPECT_FALSE(queue.pending(fired->id));
+    EXPECT_FALSE(sim.pending(token_id.at(expect_token)));
+    token_id.erase(expect_token);
     oracle.token_key.erase(expect_token);
     oracle.live.erase(front);
   };
@@ -97,28 +101,22 @@ void run_ops(std::uint64_t seed, std::uint64_t ops) {
       // Cancel a random handle — possibly already fired or cancelled.
       const auto& h = handles[rng.next_below(static_cast<std::uint32_t>(handles.size()))];
       const bool ref_live = oracle.token_key.contains(h.token);
-      EXPECT_EQ(queue.cancel(h.id), ref_live);
+      EXPECT_EQ(sim.cancel(h.id), ref_live);
       if (ref_live) {
         oracle.live.erase(oracle.token_key.at(h.token));
         oracle.token_key.erase(h.token);
+        token_id.erase(h.token);
       }
-      EXPECT_FALSE(queue.pending(h.id));
-      EXPECT_FALSE(queue.cancel(h.id));  // second cancel always refused
+      EXPECT_FALSE(sim.pending(h.id));
+      EXPECT_FALSE(sim.cancel(h.id));  // second cancel always refused
     } else if (pick < 90) {
       pop_one();
     } else if (!handles.empty()) {
       const auto& h = handles[rng.next_below(static_cast<std::uint32_t>(handles.size()))];
-      EXPECT_EQ(queue.pending(h.id), oracle.token_key.contains(h.token));
+      EXPECT_EQ(sim.pending(h.id), oracle.token_key.contains(h.token));
     }
 
-    EXPECT_EQ(queue.size(), oracle.live.size());
-    if ((op & 0xF) == 0) {
-      if (oracle.live.empty()) {
-        EXPECT_EQ(queue.next_time(), std::nullopt);
-      } else {
-        EXPECT_EQ(queue.next_time(), at(oracle.live.begin()->first.first));
-      }
-    }
+    EXPECT_EQ(sim.pending_events(), oracle.live.size());
     // Bound live-set growth (and with it, handle staleness) so the run
     // exercises deep queues without ballooning.
     if (oracle.live.size() > 20000) {
@@ -133,8 +131,8 @@ void run_ops(std::uint64_t seed, std::uint64_t ops) {
     pop_one();
     if (testing::Test::HasFatalFailure()) return;
   }
-  EXPECT_EQ(queue.pop(), std::nullopt);
-  EXPECT_TRUE(queue.empty());
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.pending_events(), 0U);
 }
 
 TEST(SimOracle, MillionOpsMatchReferenceModel) {
@@ -148,10 +146,10 @@ TEST(SimOracle, MillionOpsMatchReferenceModel) {
 
 TEST(SimOracle, CancelStormsMatchReferenceModel) {
   // Alternating build-up and mass-cancel phases: most scheduled events die
-  // before firing, driving the queue through repeated compactions while
-  // the model checks the survivors' order.
+  // before firing, retracting slots all over the calendar while the model
+  // checks the survivors' order.
   Pcg32 rng{99};
-  EventQueue queue;
+  Simulation sim;
   Oracle oracle;
   std::vector<TrackedId> alive;
   std::vector<std::uint64_t> fired_tokens;
@@ -159,10 +157,11 @@ TEST(SimOracle, CancelStormsMatchReferenceModel) {
   std::uint64_t next_seq = 0;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 2000; ++i) {
-      const double t = static_cast<double>(rng.uniform_int(0, 500));
+      const double t =
+          std::ceil(sim.now().to_seconds()) + static_cast<double>(rng.uniform_int(0, 500));
       const std::uint64_t token = next_token++;
       const EventId id =
-          queue.schedule(at(t), [&fired_tokens, token] { fired_tokens.push_back(token); });
+          sim.schedule_at(at(t), [&fired_tokens, token] { fired_tokens.push_back(token); });
       oracle.live.emplace(RefKey{t, next_seq}, token);
       oracle.token_key.emplace(token, RefKey{t, next_seq});
       ++next_seq;
@@ -173,28 +172,26 @@ TEST(SimOracle, CancelStormsMatchReferenceModel) {
       if (!rng.bernoulli(0.75)) continue;
       const TrackedId h = alive[i];
       if (!oracle.token_key.contains(h.token)) continue;
-      EXPECT_TRUE(queue.cancel(h.id));
+      EXPECT_TRUE(sim.cancel(h.id));
       oracle.live.erase(oracle.token_key.at(h.token));
       oracle.token_key.erase(h.token);
     }
     // Pop half of the survivors; verify order against the model.
     for (std::size_t i = oracle.live.size() / 2; i-- > 0;) {
-      auto fired = queue.pop();
-      ASSERT_TRUE(fired.has_value());
+      ASSERT_TRUE(sim.step());
       const auto front = oracle.live.begin();
-      fired->callback();
+      EXPECT_EQ(sim.now(), at(front->first.first));
       ASSERT_EQ(fired_tokens.back(), front->second);
       oracle.token_key.erase(front->second);
       oracle.live.erase(front);
     }
-    ASSERT_EQ(queue.size(), oracle.live.size());
+    ASSERT_EQ(sim.pending_events(), oracle.live.size());
     alive.erase(alive.begin(),
                 alive.begin() + static_cast<std::ptrdiff_t>(alive.size() / 2));
   }
-  while (auto fired = queue.pop()) {
+  while (sim.step()) {
     const auto front = oracle.live.begin();
     ASSERT_NE(front, oracle.live.end());
-    fired->callback();
     ASSERT_EQ(fired_tokens.back(), front->second);
     oracle.live.erase(front);
   }

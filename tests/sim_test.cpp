@@ -1,4 +1,4 @@
-// Unit tests for the event queue and simulation engine.
+// Unit tests for the simulation engine: queued callbacks and calendar slots.
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "seq_counter_peer.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
 
@@ -15,118 +14,125 @@ namespace {
 
 TimePoint at(double s) { return TimePoint::at(Duration::seconds(s)); }
 
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue q;
+TEST(QueuedEvents, PopsInTimeOrder) {
+  Simulation sim;
   std::vector<int> order;
-  q.schedule(at(3.0), [&] { order.push_back(3); });
-  q.schedule(at(1.0), [&] { order.push_back(1); });
-  q.schedule(at(2.0), [&] { order.push_back(2); });
-  while (auto e = q.pop()) e->callback();
+  sim.schedule_at(at(3.0), [&] { order.push_back(3); });
+  sim.schedule_at(at(1.0), [&] { order.push_back(1); });
+  sim.schedule_at(at(2.0), [&] { order.push_back(2); });
+  while (sim.step()) {
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, TiesBreakByInsertionOrder) {
-  EventQueue q;
+TEST(QueuedEvents, TiesBreakByInsertionOrder) {
+  Simulation sim;
   std::vector<int> order;
-  q.schedule(at(5.0), [&] { order.push_back(1); });
-  q.schedule(at(5.0), [&] { order.push_back(2); });
-  q.schedule(at(5.0), [&] { order.push_back(3); });
-  while (auto e = q.pop()) e->callback();
+  sim.schedule_at(at(5.0), [&] { order.push_back(1); });
+  sim.schedule_at(at(5.0), [&] { order.push_back(2); });
+  sim.schedule_at(at(5.0), [&] { order.push_back(3); });
+  while (sim.step()) {
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, CancelPreventsDelivery) {
-  EventQueue q;
+TEST(QueuedEvents, CancelPreventsDelivery) {
+  Simulation sim;
   std::vector<int> order;
-  q.schedule(at(1.0), [&] { order.push_back(1); });
-  const EventId doomed = q.schedule(at(2.0), [&] { order.push_back(2); });
-  q.schedule(at(3.0), [&] { order.push_back(3); });
-  EXPECT_TRUE(q.pending(doomed));
-  EXPECT_TRUE(q.cancel(doomed));
-  EXPECT_FALSE(q.pending(doomed));
-  EXPECT_FALSE(q.cancel(doomed));  // second cancel is a no-op
-  while (auto e = q.pop()) e->callback();
+  sim.schedule_at(at(1.0), [&] { order.push_back(1); });
+  const EventId doomed = sim.schedule_at(at(2.0), [&] { order.push_back(2); });
+  sim.schedule_at(at(3.0), [&] { order.push_back(3); });
+  EXPECT_TRUE(sim.pending(doomed));
+  EXPECT_TRUE(sim.cancel(doomed));
+  EXPECT_FALSE(sim.pending(doomed));
+  EXPECT_FALSE(sim.cancel(doomed));  // second cancel is a no-op
+  while (sim.step()) {
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
-TEST(EventQueue, SizeTracksLiveEvents) {
-  EventQueue q;
-  const EventId a = q.schedule(at(1.0), [] {});
-  q.schedule(at(2.0), [] {});
-  EXPECT_EQ(q.size(), 2U);
-  q.cancel(a);
-  EXPECT_EQ(q.size(), 1U);
-  EXPECT_EQ(q.next_time(), at(2.0));
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.next_time().has_value());
+TEST(QueuedEvents, SizeTracksLiveEvents) {
+  Simulation sim;
+  const EventId a = sim.schedule_at(at(1.0), [] {});
+  sim.schedule_at(at(2.0), [] {});
+  EXPECT_EQ(sim.pending_events(), 2U);
+  sim.cancel(a);
+  EXPECT_EQ(sim.pending_events(), 1U);
+  // The cancelled event leaves nothing behind: the next step fires t = 2.
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), at(2.0));
+  EXPECT_EQ(sim.pending_events(), 0U);
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.now(), at(2.0));
 }
 
-TEST(EventQueue, RejectsEmptyCallback) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule(at(1.0), EventCallback{}), CheckError);
+TEST(QueuedEvents, RejectsEmptyCallback) {
+  Simulation sim;
+  EXPECT_THROW(sim.schedule_at(at(1.0), EventCallback{}), CheckError);
+  EXPECT_EQ(sim.pending_events(), 0U);
 }
 
-TEST(EventQueue, CancelAfterFireReturnsFalse) {
+TEST(QueuedEvents, CancelAfterFireReturnsFalse) {
   // Regression: the runtime holds on to completion-event ids across
   // failures; cancelling one whose event already fired must be a safe
   // no-op, not a hit on whatever reused the slot.
-  EventQueue q;
-  const EventId id = q.schedule(at(1.0), [] {});
-  const auto fired = q.pop();
-  ASSERT_TRUE(fired.has_value());
-  EXPECT_EQ(fired->id, id);
-  EXPECT_FALSE(q.pending(id));
-  EXPECT_FALSE(q.cancel(id));
+  Simulation sim;
+  bool fired = false;
+  const EventId id = sim.schedule_at(at(1.0), [&] { fired = true; });
+  ASSERT_TRUE(sim.step());
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(sim.pending(id));
+  EXPECT_FALSE(sim.cancel(id));
   // The slot is recycled by the next schedule; the stale id must still be
   // rejected rather than cancelling the new occupant.
-  const EventId fresh = q.schedule(at(2.0), [] {});
-  EXPECT_FALSE(q.pending(id));
-  EXPECT_FALSE(q.cancel(id));
-  EXPECT_TRUE(q.pending(fresh));
-  EXPECT_EQ(q.size(), 1U);
+  const EventId fresh = sim.schedule_at(at(2.0), [] {});
+  EXPECT_FALSE(sim.pending(id));
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_TRUE(sim.pending(fresh));
+  EXPECT_EQ(sim.pending_events(), 1U);
 }
 
-TEST(EventQueue, ForeignQueueIdIsRejected) {
-  // Regression: pending()/cancel() with another queue's id (or a
+TEST(QueuedEvents, ForeignQueueIdIsRejected) {
+  // Regression: pending()/cancel() with another Simulation's id (or a
   // value-initialized one) must be safe and answer false, whatever state
-  // either queue is in.
-  EventQueue a;
-  EventQueue b;
-  const EventId in_a = a.schedule(at(1.0), [] {});
-  b.schedule(at(1.0), [] {});
+  // either Simulation is in.
+  Simulation a;
+  Simulation b;
+  const EventId in_a = a.schedule_at(at(1.0), [] {});
+  b.schedule_at(at(1.0), [] {});
   EXPECT_FALSE(b.pending(in_a));
   EXPECT_FALSE(b.cancel(in_a));
   EXPECT_FALSE(a.pending(EventId{}));
   EXPECT_FALSE(a.cancel(EventId{}));
-  EXPECT_TRUE(a.pending(in_a));  // still live in its own queue
-  EXPECT_EQ(b.size(), 1U);
+  EXPECT_TRUE(a.pending(in_a));  // still live in its own Simulation
+  EXPECT_EQ(b.pending_events(), 1U);
 }
 
-TEST(EventQueue, StaleIdStaysDeadAcrossSlotReuse) {
+TEST(QueuedEvents, StaleIdStaysDeadAcrossSlotReuse) {
   // Cancel an event, then keep recycling its slot: every older handle for
   // the slot must remain dead while the current one works.
-  EventQueue q;
-  const EventId first = q.schedule(at(1.0), [] {});
-  ASSERT_TRUE(q.cancel(first));
+  Simulation sim;
+  const EventId first = sim.schedule_at(at(1.0), [] {});
+  ASSERT_TRUE(sim.cancel(first));
   std::vector<EventId> stale{first};
   for (int round = 0; round < 16; ++round) {
-    const EventId current = q.schedule(at(1.0 + round), [] {});
+    int fired = -1;
+    const EventId current = sim.schedule_at(at(1.0 + round), [&fired, round] { fired = round; });
     for (const EventId old : stale) {
-      EXPECT_FALSE(q.pending(old));
-      EXPECT_FALSE(q.cancel(old));
+      EXPECT_FALSE(sim.pending(old));
+      EXPECT_FALSE(sim.cancel(old));
     }
-    EXPECT_TRUE(q.pending(current));
+    EXPECT_TRUE(sim.pending(current));
     if (round % 2 == 0) {
-      ASSERT_TRUE(q.cancel(current));
+      ASSERT_TRUE(sim.cancel(current));
     } else {
-      const auto fired = q.pop();
-      ASSERT_TRUE(fired.has_value());
-      EXPECT_EQ(fired->id, current);
+      ASSERT_TRUE(sim.step());
+      EXPECT_EQ(fired, round);
+      EXPECT_FALSE(sim.pending(current));
     }
     stale.push_back(current);
   }
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(sim.pending_events(), 0U);
 }
 
 TEST(Simulation, ClockAdvancesWithEvents) {
@@ -285,6 +291,8 @@ TEST(PhaseCalendar, RetractAndRepublish) {
 }
 
 TEST(PhaseCalendar, OrderStaysExactAcrossTheSeqWrap) {
+  // Seqs are 40 bits, so the counter runs past 2^32 (where a 32-bit seq
+  // would wrap) with every pending entry untouched.
   Simulation sim;
   std::vector<std::string> log;
   RecordingClient client{log, {"s0", "s1", "s2", "s3"}};
@@ -293,24 +301,24 @@ TEST(PhaseCalendar, OrderStaysExactAcrossTheSeqWrap) {
   const auto queued = [&](const char* name) { return [&log, name] { log.push_back(name); }; };
   const Duration t10 = Duration::seconds(10);
   const Duration t5 = Duration::seconds(5);
+  const std::uint64_t wrap = std::uint64_t{1} << 32;
 
-  // The last three seqs before the wrap: a queue event, a calendar slot and
-  // a queue event that is then cancelled (its dead heap entry is renumbered
-  // with the live ones), all at t = 10.
-  SeqCounterTestPeer::preset(sim, 0xFFFFFFFFULL - 2);
+  // The last three seqs below 2^32: a queued event, a calendar slot and a
+  // queued event that is then cancelled, all at t = 10.
+  SeqCounterTestPeer::preset(sim, wrap - 3);
   sim.schedule_after(t10, queued("q0"));
   sim.publish_after(slots[0], t10);
   const EventId dead = sim.schedule_after(t10, queued("dead"));
   ASSERT_TRUE(sim.cancel(dead));
-  // The next draw wraps: the queue first renumbers q0, s0 and the dead
-  // entry together. s3 is retracted again (republished below).
+  // The next draw takes seq 2^32. s3 is retracted again (republished
+  // below).
   sim.publish_after(slots[3], t5);
   EXPECT_TRUE(sim.retract(slots[3]));
 
-  // Post-wrap seqs must still order after the renumbered pre-wrap ones on
-  // the t = 10 tie, in both containers.
+  // Seqs past 2^32 must still order after the ones below it on the t = 10
+  // tie, for calendar slots and queued events alike.
   sim.publish_after(slots[1], t10);
-  EXPECT_LT(SeqCounterTestPeer::next_seq(sim), 0xFFFFFFFFULL - 2);
+  EXPECT_EQ(SeqCounterTestPeer::next_seq(sim), wrap + 2);
   sim.schedule_after(t10, queued("q1"));
   sim.publish_after(slots[2], t5);
   sim.schedule_after(t5, queued("q2"));
@@ -319,6 +327,25 @@ TEST(PhaseCalendar, OrderStaysExactAcrossTheSeqWrap) {
   sim.run();
   EXPECT_EQ(log, (std::vector<std::string>{"s2", "q2", "q0", "s0", "s1", "q1", "s3"}));
   for (const CalendarSlot slot : slots) sim.close_slot(slot);
+}
+
+TEST(Simulation, SeqDrawPastTwoToTheFortyThrows) {
+  // The 2^40th draw is the last one; the next throws instead of reusing a
+  // seq, whether a queued event or a calendar publish asks for it.
+  Simulation sim;
+  std::vector<std::string> log;
+  RecordingClient client{log, {"s0"}};
+  const CalendarSlot slot = sim.open_slot(client, 0);
+  SeqCounterTestPeer::preset(sim, (std::uint64_t{1} << 40) - 1);
+  sim.schedule_after(Duration::seconds(1), [&log] { log.push_back("last"); });
+  EXPECT_THROW(sim.schedule_after(Duration::seconds(1), [] {}), CheckError);
+  EXPECT_THROW(sim.publish_after(slot, Duration::seconds(1)), CheckError);
+  EXPECT_FALSE(sim.published(slot));
+  // The refused draws left nothing pending.
+  EXPECT_EQ(sim.pending_events(), 1U);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"last"}));
+  sim.close_slot(slot);
 }
 
 }  // namespace

@@ -42,6 +42,8 @@ SmokeArtifacts run_smoke(const StudyDefinition& def, unsigned threads) {
     if (def.find_param(key) != nullptr) params.set(key, "2");
   }
   HarnessOptions options = default_harness_options(def);
+  // A smoke run is not a run worth recording: keep it out of the ledger.
+  options.ledger_path.clear();
   if (def.options.threads) options.threads = threads;
   if (def.options.csv) {
     options.csv = true;

@@ -411,6 +411,7 @@ TEST(SpecEndToEnd, SpecDefinedStudyMatchesCompiledInByteForByte) {
                                const std::string& out_path) {
     HarnessOptions options = default_harness_options(def);
     options.threads = 2;
+    options.ledger_path.clear();  // a test run is not a run worth recording
     set_status_stream(stderr);
     int rc = -1;
     {
@@ -444,7 +445,15 @@ TEST(SpecEndToEnd, SweepManifestIsThreadsInvariant) {
     SuiteOptions options;
     options.out_dir = fresh_dir(label);
     options.threads = threads;
+    // A sweep records itself in ./results/ledger.jsonl: run it from a
+    // scratch directory so the test leaves the working directory's ledger
+    // alone.
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    const std::string scratch = fresh_dir(label + "_cwd");
+    std::filesystem::create_directories(scratch);
+    std::filesystem::current_path(scratch);
     EXPECT_EQ(run_sweep(plan, options), 0);
+    std::filesystem::current_path(cwd);
     return options.out_dir;
   };
   const std::string one = run_with_threads(1, "sweep_t1");

@@ -3,7 +3,7 @@
 // cells through:
 //
 //  * the direct trial engine (TrialExecutor, at 1 and 4 worker threads,
-//    observed and unobserved) vs. the event-queue oracle below, run
+//    observed and unobserved) vs. the queued-callback oracle below, run
 //    serially — every ExecutionResult field, the merged metrics and trial
 //    0's trace must match exactly (byte drift fails);
 //  * surrogate-answered vs. fully-simulated efficiency studies — anchor and
@@ -77,10 +77,10 @@ void expect_identical(const ExecutionResult& a, const ExecutionResult& b,
   EXPECT_EQ(a.node_seconds, b.node_seconds) << label;
 }
 
-/// The event-queue oracle for one planned trial, built from library API
-/// only: AppFailureProcess schedules each failure as an event-queue
-/// callback and Simulation::run merges the queue with the runtime's
-/// calendar slots. The direct engine draws the same failures in the same
+/// The queued-callback oracle for one planned trial, built from library
+/// API only: AppFailureProcess schedules each failure as a queued callback
+/// and Simulation::run fires the calendar's front, the runtime's slots
+/// included. The direct engine draws the same failures in the same
 /// RNG order from a calendar slot of its own and must reproduce every
 /// observable of this construction (core/trial_engine.hpp).
 ExecutionResult run_event_trial(const PlanTrialSpec& spec, std::uint64_t seed,
@@ -206,7 +206,7 @@ SingleAppTrialConfig diff_cell(const std::string& app, TechniqueKind technique,
   return config;
 }
 
-/// The direct engine against the event-queue oracle across worker counts:
+/// The direct engine against the queued-callback oracle across worker counts:
 /// the differential core of the harness. The serial oracle, with metrics
 /// and a trace of trial 0, is the reference; the direct engine at 1 and 4
 /// threads must reproduce it exactly, metrics and trace included, and must
@@ -354,7 +354,7 @@ TEST(SurrogateDiff, EnginesExecuteAndPollAlike) {
     EXPECT_GT(event.watchdog_polls, trials) << tag;
     EXPECT_EQ(event.events_executed(), direct.events_executed()) << tag;
     EXPECT_EQ(event.watchdog_polls, direct.watchdog_polls) << tag;
-    // The direct engine never touches the event heap; the oracle does.
+    // The direct engine queues no callback; the oracle does.
     EXPECT_EQ(direct.events_popped, 0U) << tag;
     EXPECT_GT(event.events_popped, 0U) << tag;
     // Every simulated trial counts once, on the direct engine only.

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build and run the full test suite, then
 # rebuild the library + tests under ThreadSanitizer and run the executor
-# tests (the only concurrent code path) plus the event-queue oracle under
-# it. Also replays a small study twice (and across thread counts) and
+# tests (the only concurrent code path) plus the pending-event-set oracle
+# under it. Also replays a small study twice (and across thread counts) and
 # requires byte-identical artifacts that match goldens recorded from an
 # earlier commit (tests/data/efficiency_a32_s7.*) — the determinism
 # contract every engine change must uphold.
@@ -33,6 +33,7 @@ stage_done() {
 
 cmake -B "$BUILD" -S .
 cmake --build "$BUILD" -j "$(nproc)"
+BUILD="$(cd "$BUILD" && pwd)"
 stage_done build
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 stage_done ctest
@@ -44,10 +45,17 @@ stage_done ctest
 cmake -B "$TSAN_BUILD" -S . -DXRES_TSAN=ON \
   -DXRES_BUILD_BENCH=OFF -DXRES_BUILD_EXAMPLES=OFF -DXRES_BUILD_TOOLS=ON
 cmake --build "$TSAN_BUILD" -j "$(nproc)"
+TSAN_BUILD="$(cd "$TSAN_BUILD" && pwd)"
 stage_done tsan-build
 ctest --test-dir "$TSAN_BUILD" --output-on-failure \
   -R "TrialExecutor|Integration|Obs|SimOracle|Surrogate"
 stage_done tsan-ctest
+
+# Every study run appends a record to ./results/ledger.jsonl by default. A
+# stage that does not test the ledger passes --no-ledger; `xres suite` and
+# `xres sweep` take no ledger option, so they run with the stage's temp dir
+# as their working directory (`env -C`, which execs: `$!` stays the xres
+# pid). The checkout's ledger stays untouched.
 
 # Observability smoke under TSAN: a threaded study with per-trial metrics
 # and tracing enabled exercises the observer hand-off between workers.
@@ -55,7 +63,7 @@ OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
 "$TSAN_BUILD"/tools/xres efficiency --type A32 --trials 4 --threads 4 \
   --metrics "$OBS_TMP/m.json" --trace "$OBS_TMP/t.json" --log-level info \
-  > /dev/null
+  --no-ledger > /dev/null
 test -s "$OBS_TMP/m.json" && test -s "$OBS_TMP/t.json"
 stage_done tsan-obs-smoke
 
@@ -67,7 +75,7 @@ crash_resume_check() {
   local xres_bin="$1" tag="$2" trials="$3" kill_after="$4"
   local dir="$OBS_TMP/resume-$tag"
   mkdir -p "$dir"
-  local args=(efficiency --type C64 --trials "$trials" --seed 99 --threads 4)
+  local args=(efficiency --type C64 --trials "$trials" --seed 99 --threads 4 --no-ledger)
 
   "$xres_bin" "${args[@]}" --metrics "$dir/golden.json" > "$dir/golden.txt"
 
@@ -125,7 +133,7 @@ stage_done crash-resume
 determinism_check() {
   local dir="$OBS_TMP/determinism"
   mkdir -p "$dir"
-  local args=(efficiency --type A32 --trials 64 --seed 7)
+  local args=(efficiency --type A32 --trials 64 --seed 7 --no-ledger)
   local golden=tests/data/efficiency_a32_s7
   "$BUILD"/tools/xres "${args[@]}" --threads 1 \
     --metrics "$dir/m1a.json" --trace "$dir/t1a.json" > "$dir/r1a.txt"
@@ -190,7 +198,7 @@ topology_check() {
   # checkpoint-restart is the PFS-heavy technique: the storm actually hits
   # the queued device (the default parallel-recovery never touches the PFS).
   local args=(workload --patterns 3 --seed 11 --platform.model fattree
-    --technique checkpoint-restart)
+    --technique checkpoint-restart --no-ledger)
   "$BUILD"/tools/xres "${args[@]}" --threads 1 > "$dir/r1.txt"
   "$BUILD"/tools/xres "${args[@]}" --threads 4 > "$dir/r4.txt"
   cmp "$dir/r1.txt" "$dir/r4.txt"
@@ -222,14 +230,14 @@ topology_check() {
 
   # The flat default is the pre-topology model: spelling it out must not
   # perturb a single byte.
-  "$BUILD"/tools/xres workload --patterns 2 --seed 11 > "$dir/flat-default.txt"
-  "$BUILD"/tools/xres workload --patterns 2 --seed 11 --platform.model flat \
+  "$BUILD"/tools/xres workload --patterns 2 --seed 11 --no-ledger > "$dir/flat-default.txt"
+  "$BUILD"/tools/xres workload --patterns 2 --seed 11 --platform.model flat --no-ledger \
     > "$dir/flat-explicit.txt"
   cmp "$dir/flat-default.txt" "$dir/flat-explicit.txt"
 
   # Unknown models must be a usage error (exit 2), not a crash.
   local rc=0
-  "$BUILD"/tools/xres workload --patterns 1 --platform.model hypercube \
+  "$BUILD"/tools/xres workload --patterns 1 --platform.model hypercube --no-ledger \
     > /dev/null 2>&1 || rc=$?
   if [[ "$rc" != 2 ]]; then
     echo "topology: expected exit 2 for bad --platform.model, got $rc" >&2
@@ -295,19 +303,19 @@ stage_done topology
 suite_check() {
   local dir="$OBS_TMP/suite"
   mkdir -p "$dir"
-  "$BUILD"/tools/xres suite paper --out-dir "$dir/ref" --trials 2 > /dev/null
+  env -C "$dir" "$BUILD"/tools/xres suite paper --out-dir "$dir/ref" --trials 2 > /dev/null
   "$BUILD"/tools/xres suite verify --out-dir "$dir/ref"
 
   # Hard kill mid-suite. If the race is lost and the suite finishes first,
   # the resume below degenerates to a full journal replay — still valid.
-  "$BUILD"/tools/xres suite paper --out-dir "$dir/crash" --trials 2 \
+  env -C "$dir" "$BUILD"/tools/xres suite paper --out-dir "$dir/crash" --trials 2 \
     > /dev/null 2>&1 &
   local pid=$!
   sleep 0.25
   kill -9 "$pid" 2> /dev/null || true
   wait "$pid" 2> /dev/null || true
 
-  "$BUILD"/tools/xres suite paper --out-dir "$dir/crash" --trials 2 --resume \
+  env -C "$dir" "$BUILD"/tools/xres suite paper --out-dir "$dir/crash" --trials 2 --resume \
     > /dev/null
   "$BUILD"/tools/xres suite verify --out-dir "$dir/crash"
   # Journals hold the crashed run's partial progress and perf.json holds
@@ -336,29 +344,29 @@ base = "efficiency"
 type = "A32"
 trials = 3
 EOF
-  "$BUILD"/tools/xres run --from "$dir/eff_spec.toml" > "$dir/spec.txt"
-  "$BUILD"/tools/xres run efficiency --set type=A32 --set trials=3 \
+  "$BUILD"/tools/xres run --from "$dir/eff_spec.toml" --no-ledger > "$dir/spec.txt"
+  "$BUILD"/tools/xres run efficiency --set type=A32 --set trials=3 --no-ledger \
     > "$dir/compiled.txt"
   cmp "$dir/spec.txt" "$dir/compiled.txt"
 
   local axes=(--axis type=A32,C64 --axis mtbf-years=5,10 --set trials=2)
-  "$BUILD"/tools/xres sweep efficiency "${axes[@]}" --threads 4 \
+  env -C "$dir" "$BUILD"/tools/xres sweep efficiency "${axes[@]}" --threads 4 \
     --out-dir "$dir/ref" > /dev/null
   "$BUILD"/tools/xres suite verify --out-dir "$dir/ref"
-  "$BUILD"/tools/xres sweep efficiency "${axes[@]}" --threads 1 \
+  env -C "$dir" "$BUILD"/tools/xres sweep efficiency "${axes[@]}" --threads 1 \
     --out-dir "$dir/t1" > /dev/null
   diff -r --exclude=journals --exclude=perf.json "$dir/ref" "$dir/t1"
 
   # Hard kill mid-grid. If the race is lost and the sweep finishes first,
   # the resume below degenerates to a full journal replay — still valid.
-  "$BUILD"/tools/xres sweep efficiency "${axes[@]}" --threads 4 \
+  env -C "$dir" "$BUILD"/tools/xres sweep efficiency "${axes[@]}" --threads 4 \
     --out-dir "$dir/crash" > /dev/null 2>&1 &
   local pid=$!
   sleep 0.25
   kill -9 "$pid" 2> /dev/null || true
   wait "$pid" 2> /dev/null || true
 
-  "$BUILD"/tools/xres sweep efficiency "${axes[@]}" --threads 4 \
+  env -C "$dir" "$BUILD"/tools/xres sweep efficiency "${axes[@]}" --threads 4 \
     --out-dir "$dir/crash" --resume > /dev/null
   "$BUILD"/tools/xres suite verify --out-dir "$dir/crash"
   diff -r --exclude=journals --exclude=perf.json "$dir/ref" "$dir/crash"
@@ -379,7 +387,7 @@ ledger_check() {
   # perf.json is telemetry, not an artifact: it must exist next to the
   # manifest, never be listed in it, and corrupting it must not trip
   # `suite verify`.
-  "$BUILD"/tools/xres sweep efficiency --axis type=A32,C64 --set trials=2 \
+  env -C "$dir" "$BUILD"/tools/xres sweep efficiency --axis type=A32,C64 --set trials=2 \
     --out-dir "$dir/grid" > /dev/null
   test -s "$dir/grid/perf.json"
   if grep -q 'perf\.json' "$dir/grid/manifest.json"; then
@@ -439,7 +447,7 @@ fault_injection_check() {
 
   # Golden run doubles as the op-count probe: a count-only plan (rate 0)
   # prints `io-faults: ops=N ...` at exit, which sizes the matrix below.
-  "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/ref" --io-faults 7:0 \
+  env -C "$dir" "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/ref" --io-faults 7:0 \
     > /dev/null 2> "$dir/ref.err"
   "$BUILD"/tools/xres suite verify --out-dir "$dir/ref"
   local total_ops
@@ -452,7 +460,7 @@ fault_injection_check() {
   # Deterministic EIO/short-write/fsync sweep: every injected fault is
   # transient, so the retry policy must absorb all of them — exit 0 and
   # byte-identical artifacts.
-  "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/eio" \
+  env -C "$dir" "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/eio" \
     --io-faults 7:0.05:eio,short,fsync > /dev/null 2> "$dir/eio.err"
   "$BUILD"/tools/xres suite verify --out-dir "$dir/eio"
   diff -r --exclude=journals --exclude=perf.json "$dir/ref" "$dir/eio"
@@ -463,8 +471,8 @@ fault_injection_check() {
 
   # The same sweep under TSAN with worker threads: concurrent wrapped ops
   # and retries must be race-free and still land thread-invariant bytes.
-  "$TSAN_BUILD"/tools/xres "${args[@]}" --out-dir "$dir/tsan-ref" > /dev/null
-  "$TSAN_BUILD"/tools/xres sweep efficiency --axis type=A32,C64 --set trials=2 \
+  env -C "$dir" "$TSAN_BUILD"/tools/xres "${args[@]}" --out-dir "$dir/tsan-ref" > /dev/null
+  env -C "$dir" "$TSAN_BUILD"/tools/xres sweep efficiency --axis type=A32,C64 --set trials=2 \
     --threads 4 --out-dir "$dir/tsan-eio" --io-faults 7:0.05:eio,short,fsync \
     > /dev/null 2>&1
   "$TSAN_BUILD"/tools/xres suite verify --out-dir "$dir/tsan-eio"
@@ -474,13 +482,13 @@ fault_injection_check() {
   # the clean resumable exit 75, journal intact, and a faults-off --resume
   # must finish byte-identically.
   local mid=$((total_ops / 2)) rc=0
-  "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/enospc" \
+  env -C "$dir" "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/enospc" \
     --io-faults "7:0:enospc@$mid" > /dev/null 2>&1 || rc=$?
   if [[ "$rc" != 75 ]]; then
     echo "fault: ENOSPC at op $mid: expected exit 75 (resumable), got $rc" >&2
     return 1
   fi
-  "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/enospc" --resume > /dev/null
+  env -C "$dir" "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/enospc" --resume > /dev/null
   "$BUILD"/tools/xres suite verify --out-dir "$dir/enospc"
   diff -r --exclude=journals --exclude=perf.json "$dir/ref" "$dir/enospc"
 
@@ -491,13 +499,13 @@ fault_injection_check() {
   for ((n = 1; n <= total_ops; n += stride)); do
     rm -rf "$dir/crash"
     rc=0
-    "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/crash" \
+    env -C "$dir" "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/crash" \
       --io-faults "7:0:crash@$n" > /dev/null 2>&1 || rc=$?
     if [[ "$rc" != 86 ]]; then
       echo "fault: crash@$n: expected injected-crash exit 86, got $rc" >&2
       return 1
     fi
-    "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/crash" --resume > /dev/null
+    env -C "$dir" "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/crash" --resume > /dev/null
     "$BUILD"/tools/xres suite verify --out-dir "$dir/crash"
     diff -r --exclude=journals --exclude=perf.json "$dir/ref" "$dir/crash"
   done
@@ -527,7 +535,7 @@ fault_injection_check() {
     fi
   }
   echo "wholly corrupt, not a journal" > "$dir/corrupt.jsonl"
-  check_rc 0 "$BUILD"/tools/xres run efficiency --set type=A32 --set trials=2
+  check_rc 0 "$BUILD"/tools/xres run efficiency --set type=A32 --set trials=2 --no-ledger
   check_rc 1 "$BUILD"/tools/xres run no-such-study
   check_rc 2 "$BUILD"/tools/xres run efficiency --no-such-flag
   check_rc 2 "$BUILD"/tools/xres run efficiency --io-faults bogus-spec
@@ -552,7 +560,8 @@ stage_done fault-injection
 surrogate_check() {
   local dir="$OBS_TMP/surrogate"
   mkdir -p "$dir"
-  local args=(run efficiency --set type=A32 --set trials=6 --seed 11 --threads 2)
+  local args=(run efficiency --set type=A32 --set trials=6 --seed 11 --threads 2
+    --no-ledger)
   "$BUILD"/tools/xres "${args[@]}" --set surrogate=analytic > "$dir/analytic.txt"
   grep -q 'Surrogate provenance' "$dir/analytic.txt"
   "$BUILD"/tools/xres "${args[@]}" --set surrogate=auto > "$dir/auto.txt"
@@ -570,7 +579,7 @@ stage_done surrogate
 
 # Opt-in full-catalog smoke: every registered study at tiny trial counts,
 # --threads 1 vs 2, artifacts byte-compared, plus the full surrogate
-# differential matrix (the direct engine against the event-queue oracle,
+# differential matrix (the direct engine against the queued-callback oracle,
 # plan knobs included) and the 200-config property test (tier-1 ctest
 # covers fast subsets of all three unconditionally).
 if [[ "${XRES_SMOKE_ALL:-0}" == "1" ]]; then
